@@ -208,10 +208,10 @@ class CoherentCache {
     Cycle fill_at = 0;
   };
   // All pf_* helpers fire only on progress sites (probe successes,
-  // message handling, evictions) — never on rejected/gated paths that
-  // fast-forward replays with a charge scale — so profiler counters
-  // stay cycle-identical under fast-forward (MCSIM_FF_AUDIT covers
-  // them via stats_report()).
+  // message handling, evictions) — never on rejected/gated paths, which
+  // a sleeping core repeats every cycle without being ticked — so
+  // profiler counters stay cycle-identical under fast-forward
+  // (MCSIM_FF_AUDIT covers them via stats_report()).
   void pf_issue(Addr line, bool ex, Cycle now);
   void pf_demand_touch(Addr line, Cycle now);
   void pf_fill(Addr line, Cycle now);

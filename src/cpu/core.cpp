@@ -120,46 +120,20 @@ void Core::tick(Cycle now) {
   do_dispatch(now);
   lsu_.tick_issue(now);
   do_fetch(now);
-  if (retired_ != retired_before) note_progress();
-  account_cycle(retired_ != retired_before, now);
+  const bool retired_any = retired_ != retired_before;
+  if (retired_any) note_progress();
+  charge_stall(retired_any ? StallCause::kBusy : classify_stall(), 1, now);
 }
 
-void Core::account_cycle(bool retired_any, Cycle now) {
-  const StallCause c = retired_any ? StallCause::kBusy : classify_stall();
-  stall_[static_cast<std::size_t>(c)] += stall_scale_;
+void Core::charge_frozen_span(Cycle now, std::uint64_t span) {
+  charge_stall(classify_stall(), span, now);
+}
+
+void Core::charge_stall(StallCause c, std::uint64_t cycles, Cycle now) {
+  stall_[static_cast<std::size_t>(c)] += cycles;
   if (events_ != nullptr && events_->enabled() && c != episode_cause_) {
     flush_stall_episode(now);
     episode_cause_ = c;
-    episode_start_ = now;
-  }
-}
-
-void Core::tick_quiescent(Cycle now, std::uint64_t span) {
-  // The skipped ticks are all identical no-ops, so one live tick with
-  // every per-tick charge multiplied by the span reproduces them: the
-  // stall cause is frozen (classify_stall is pure over frozen state),
-  // and the only stat deltas a quiescent tick produces are per-cycle
-  // retries (gated issues, fence/addr stalls, rejected probes,
-  // prefetch retries), which add() multiplies under the charge scale.
-  stats_.set_charge_scale(span);
-  lsu_.stats().set_charge_scale(span);
-  stall_scale_ = span;
-  tick(now);
-  stall_scale_ = 1;
-  lsu_.stats().set_charge_scale(1);
-  stats_.set_charge_scale(1);
-  assert(!progress_ && !lsu_.progressed() &&
-         "fast-forward quiescence proof violated: a skipped tick made progress");
-}
-
-void Core::charge_idle_span(Cycle now, std::uint64_t span) {
-  assert(idle_quiescent());
-  assert(classify_stall() == StallCause::kIdle);
-  stall_[static_cast<std::size_t>(StallCause::kIdle)] += span;
-  if (events_ != nullptr && events_->enabled() &&
-      episode_cause_ != StallCause::kIdle) {
-    flush_stall_episode(now);
-    episode_cause_ = StallCause::kIdle;
     episode_start_ = now;
   }
 }

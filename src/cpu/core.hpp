@@ -52,29 +52,14 @@ class Core : public LsuHost, public LineEventObserver {
     return lsu_.next_local_completion();
   }
 
-  /// Replay one provably quiescent tick on behalf of `span` identical
-  /// skipped ticks: every stat delta (core, LSU, and this core's cache
-  /// set — scaled by the caller) and the stall-cause charge land
-  /// `span` times, exactly as the naive loop would have charged them.
-  /// Asserts that the tick indeed made no progress.
-  void tick_quiescent(Cycle now, std::uint64_t span);
-
-  /// A tick of this core is provably `stall_[kIdle] += 1` and nothing
-  /// else: drained (halted, ROB and LSU empty), no queued prefetches
-  /// left to drain, and no pending store-to-load forwarding result.
-  /// Such spans are folded in O(1) by charge_idle_span() instead of
-  /// replaying a tick.
-  bool idle_quiescent() const {
-    return drained() && lsu_.prefetch_engine().empty() &&
-           lsu_.next_local_completion() == kCycleNever;
-  }
-
-  /// Fold `span` idle_quiescent() ticks starting at `now`: the kIdle
-  /// stall charge plus the same episode transition account_cycle()
-  /// would have made on the first of them. No stat deltas — a fully
-  /// drained tick produces none (asserted via tick_quiescent under
-  /// MCSIM_FF_AUDIT by the machine's audit path).
-  void charge_idle_span(Cycle now, std::uint64_t span);
+  /// Charge `span` frozen ticks starting at `now` in one step: the
+  /// stall cause classify_stall() gives now, times `span`, plus the
+  /// stall-episode transition the first of those ticks would make. For
+  /// a core whose last tick made no progress, and that nothing has
+  /// touched since, this is exactly what ticking it `span` times
+  /// charges: a frozen tick changes no state and bumps no counter, so
+  /// its stall charge is its only effect, identical every cycle.
+  void charge_frozen_span(Cycle now, std::uint64_t span);
 
   bool halted() const { return halted_; }
   /// Halted and every buffered access has performed.
@@ -99,7 +84,8 @@ class Core : public LsuHost, public LineEventObserver {
   std::string rob_dump() const;
 
   /// Per-cause cycle counts; kBusy counts retiring cycles, so the
-  /// entries sum to exactly the number of tick() calls.
+  /// entries sum to exactly the number of tick() calls plus the cycles
+  /// charged through charge_frozen_span().
   const StallBreakdown& stall_cycles() const { return stall_; }
 
   /// Close the open stall episode at end-of-run so its duration event
@@ -138,7 +124,9 @@ class Core : public LsuHost, public LineEventObserver {
   void do_fetch(Cycle now);
   /// Why is the ROB head not retiring this cycle? (const; no side effects)
   StallCause classify_stall() const;
-  void account_cycle(bool retired_any, Cycle now);
+  /// Add `cycles` to cause `c` and open a new trace episode at `now`
+  /// if the cause changed.
+  void charge_stall(StallCause c, std::uint64_t cycles, Cycle now);
   void squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now, const char* why,
                    SquashOrigin origin = SquashOrigin::kPipeline);
 
@@ -179,8 +167,6 @@ class Core : public LsuHost, public LineEventObserver {
   /// Core state mutated this tick; starts armed (the constructor may
   /// pre-fill the pipeline, and the first tick must always run live).
   bool progress_ = true;
-  /// Cycles charged per account_cycle() call (fast-forward spans).
-  std::uint64_t stall_scale_ = 1;
 
   StallBreakdown stall_{};
   StallCause episode_cause_ = StallCause::kBusy;

@@ -129,11 +129,11 @@ class LoadStoreUnit {
   }
 
   const SpecLoadBuffer& spec_buffer() const { return spec_buffer_; }
-  const PrefetchEngine& prefetch_engine() const { return prefetch_; }
 
   // --- stall-cause classification (observability) --------------------
-  // Called by the core once per non-retiring cycle for the ROB head's
-  // blocked memory op; each is a cheap scan of the small queues.
+  // Called by the core once per non-retiring cycle, or once per flushed
+  // frozen span, for the ROB head's blocked memory op; each is a cheap
+  // scan of the small queues.
 
   /// Refines "access outstanding in the memory system" into
   /// kDirPending/kCacheMiss; installed by Machine (it can see the

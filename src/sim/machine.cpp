@@ -132,12 +132,6 @@ bool Machine::done_scan() const {
 }
 
 Cycle Machine::next_event_cycle() const {
-  // O(1) while the active-set loop is live: the heap top bounds the
-  // sweep minimum from below (components may be armed EARLIER than
-  // their true next event — over-arming only costs a live tick), so
-  // returning it preserves the "a larger value proves every earlier
-  // tick is a no-op" contract without touching any component.
-  if (sched_live_) return sched_.next_cycle();
   Cycle ne = net_.next_event(cycle_);
   if (ne <= cycle_) return ne;
   Cycle t = dir_.next_event(cycle_);
@@ -147,8 +141,8 @@ Cycle Machine::next_event_cycle() const {
   // counter says every cache is idle the whole sweep is skipped — at
   // P=256 the common quiescent probe drops the O(P) cache scan for a
   // counter check. (Cores cannot be skipped the same way: a core that
-  // just drained still reports its final tick as progress, and the
-  // quiescence proof in tick_quiescent must see that.)
+  // just drained still reports its final tick as progress, and must
+  // tick once more before it may be treated as frozen.)
   if (busy_caches_ != 0) {
     for (const auto& c : caches_) {
       t = c->next_event(cycle_);
@@ -206,7 +200,7 @@ void Machine::step_active() {
     } else if (id <= banks + cfg_.num_procs) {
       const ProcId p = static_cast<ProcId>(id - 1 - banks);
       // Flush the deferred span BEFORE the cache mutates state the
-      // scaled replay's classification reads, and before observer
+      // flush's stall classification reads, and before observer
       // callbacks (invalidation squashes) mutate the core.
       flush_core_charges(p);
       caches_[p]->tick(c);
@@ -266,21 +260,17 @@ void Machine::flush_core_charges(ProcId p) {
   const Cycle upto = cycle_;
   const Cycle from = charged_until_[p];
   if (from >= upto) return;
-  const std::uint64_t span = static_cast<std::uint64_t>(upto - from);
-  if (cores_[p]->idle_quiescent()) {
-    // A fully drained core's tick is exactly `stall_[kIdle] += 1`:
-    // fold the whole span in O(1) instead of replaying a tick.
-    cores_[p]->charge_idle_span(from, span);
-  } else {
-    // One scaled quiescent replay for the whole span — identical to
-    // what the naive loop charged across [from, upto). Replayed at
-    // `from` (the first uncharged cycle), so replay side-timestamps
-    // (e.g. the cache-port stamp of a rejected probe) stay strictly
-    // earlier than the live tick that follows at `upto`.
-    caches_[p]->stats().set_charge_scale(span);
-    cores_[p]->tick_quiescent(from, span);
-    caches_[p]->stats().set_charge_scale(1);
-  }
+  // The core has been frozen since `from`, so each naive tick in the
+  // span would have charged the same cause as one classification now:
+  // every flush runs before the state that classification reads can
+  // change (the cache stage flushes before it mutates, a watched
+  // busy-bit flip flushes before the flip, a live tick flushes first).
+  // The naive ticks did one more thing, which is inert: a rejected
+  // probe stamps the cache port with its cycle. Every stamp would lie
+  // in [from, upto), and port_free(t) is true for every t after the
+  // stamp, so no read at cycle >= upto could tell it apart from the
+  // older stamp kept here; classify_*() never reads the port at all.
+  cores_[p]->charge_frozen_span(from, static_cast<std::uint64_t>(upto - from));
   charged_until_[p] = upto;
 }
 

@@ -49,8 +49,9 @@ class Machine {
   Machine(const SystemConfig& cfg, std::vector<Program> programs);
 
   /// Run to completion (all processors drained, memory system quiet).
-  /// With cfg.fastforward (the default) quiescent spans are skipped via
-  /// next_event_cycle(); the result is cycle-identical to the naive
+  /// With cfg.fastforward (the default) the active-set scheduler ticks
+  /// only components armed for the current cycle and jumps over cycles
+  /// where none is; the result is cycle-identical to the naive
   /// per-cycle loop (pinned by tests/integration/fastforward_equivalence
   /// and, in Debug builds, the MCSIM_FF_AUDIT lockstep shadow machine).
   RunResult run();
@@ -62,10 +63,10 @@ class Machine {
   /// of every component's next_event(). A value <= now() means the
   /// next tick must run live; a larger value proves every tick before
   /// it is a no-op; kCycleNever means the machine is permanently
-  /// quiescent (done, or deadlocked until max_cycles). O(1) while
-  /// run()'s active-set loop is live (the scheduler heap top, see
-  /// sim/sched.hpp); otherwise the O(P) sweep that is the ground truth
-  /// behind the heap's arming contract.
+  /// quiescent (done, or deadlocked until max_cycles). An O(P) sweep:
+  /// run() never calls it (its active-set loop reads the scheduler heap
+  /// top, see sim/sched.hpp); it is the ground truth behind the heap's
+  /// arming contract, for tests and benches.
   Cycle next_event_cycle() const;
 
   Cycle now() const { return cycle_; }
@@ -143,8 +144,8 @@ class Machine {
   /// of itself and its cache (the only arm sites for either).
   void tick_core_live(ProcId p);
   /// Charge core p's lazily-deferred stall span [charged_until_[p],
-  /// cycle_): one scaled quiescent replay (or the O(1) idle fold for a
-  /// drained core), exactly what skip_to() charged eagerly before.
+  /// cycle_) with one stall classification times the span: exactly
+  /// what the naive loop's per-cycle ticks would have charged.
   void flush_core_charges(ProcId p);
   void flush_all_core_charges();
   /// Network delivery hook: arm the receiving cache/bank for this cycle.
@@ -180,10 +181,10 @@ class Machine {
   static constexpr Addr kNoWatch = ~static_cast<Addr>(0);
   Scheduler sched_;
   bool sched_live_ = false;
-  /// First cycle whose stall/stat charges core p has NOT yet received;
+  /// First cycle whose stall charge core p has NOT yet received;
   /// the naive loop charges every tick eagerly, the active-set loop
   /// defers a sleeping core's identical per-cycle charges and flushes
-  /// them in one scaled replay (flush_core_charges).
+  /// them in one step (flush_core_charges).
   std::vector<Cycle> charged_until_;
   /// Line whose directory busy bit core p's sleeping stall
   /// classification depends on (kDirPending vs kCacheMiss), kNoWatch
@@ -192,7 +193,7 @@ class Machine {
   std::unordered_map<Addr, std::vector<ProcId>> watchers_;
   /// Last address the mem classifier probed for core p, valid only for
   /// classifications made since the flag was cleared (the live tick
-  /// clears it, so a stale probe from a flush replay is never reused).
+  /// clears it, so a stale probe from a flush is never reused).
   std::vector<Addr> classifier_addr_;
   std::vector<bool> classifier_probe_valid_;
   /// done()-audit sampling counter. Unconditional on purpose: the

@@ -173,18 +173,30 @@ TEST(FastForwardEquivalence, MissHeavyWorkloadMatchesAndStallSumsToTicks) {
   // Long clean-miss latency maximizes quiescent spans — the case the
   // scheduler exists for, and the one where a skip-accounting bug
   // would distort the stall breakdowns most.
+  // The single-MSHR machine adds sleeping cores whose every frozen
+  // cycle retries a rejected probe: queued prefetches and speculative
+  // loads find the one MSHR taken, so a flush must charge those spans
+  // without ticking them.
   Workload w = make_producer_consumer(2, 6);
-  SystemConfig cfg = SystemConfig::realistic(2, ConsistencyModel::kSC);
-  cfg.with_clean_miss_latency(400);
-  Fingerprint ff = run_one(w.programs, w.preload_shared, cfg, {}, true);
-  Fingerprint naive = run_one(w.programs, w.preload_shared, cfg, {}, false);
-  expect_identical(ff, naive, "producer_consumer miss=400");
-  ASSERT_FALSE(ff.result.deadlocked);
-  for (std::size_t p = 0; p < ff.result.stall.size(); ++p) {
-    std::uint64_t sum = 0;
-    for (std::uint64_t c : ff.result.stall[p]) sum += c;
-    EXPECT_EQ(sum, static_cast<std::uint64_t>(ff.result.ticks))
-        << "core " << p << ": skipped spans not fully charged to stall causes";
+  SystemConfig base = SystemConfig::realistic(2, ConsistencyModel::kSC);
+  base.with_clean_miss_latency(400);
+  SystemConfig one_mshr = SystemConfig::realistic(2, ConsistencyModel::kSC);
+  one_mshr.with_clean_miss_latency(200);
+  one_mshr.cache.mshrs = 1;
+  one_mshr.core.prefetch = PrefetchMode::kNonBinding;
+  one_mshr.core.speculative_loads = true;
+  for (const auto& [cfg, what] : {std::pair{base, "producer_consumer miss=400"},
+                                  std::pair{one_mshr, "producer_consumer mshrs=1"}}) {
+    Fingerprint ff = run_one(w.programs, w.preload_shared, cfg, {}, true);
+    Fingerprint naive = run_one(w.programs, w.preload_shared, cfg, {}, false);
+    expect_identical(ff, naive, what);
+    ASSERT_FALSE(ff.result.deadlocked) << what;
+    for (std::size_t p = 0; p < ff.result.stall.size(); ++p) {
+      std::uint64_t sum = 0;
+      for (std::uint64_t c : ff.result.stall[p]) sum += c;
+      EXPECT_EQ(sum, static_cast<std::uint64_t>(ff.result.ticks))
+          << what << " core " << p << ": skipped spans not fully charged to stall causes";
+    }
   }
 }
 

@@ -1,9 +1,14 @@
 // Machine public-API behaviours: construction validation, preloads,
-// read_word coherence, stats reporting, stepping, access logs.
+// read_word coherence, stats reporting, stepping, access logs, and the
+// error for an access beyond the end of memory.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "isa/builder.hpp"
 #include "sim/machine.hpp"
+#include "sim/workloads.hpp"
 
 namespace mcsim {
 namespace {
@@ -128,6 +133,24 @@ TEST(MachineApi, RetiredCountsPerProcessor) {
   ASSERT_EQ(r.retired.size(), 2u);
   EXPECT_EQ(r.retired[0], 3u);  // li, st, halt
   EXPECT_EQ(r.retired[1], 3u);
+}
+
+TEST(MachineApi, AccessBeyondMemoryNamesAddressAndMemBytes) {
+  // 64 producer/consumer pairs need more than the default 1 MiB of
+  // memory (the workload's min_mem_bytes); a machine built without
+  // raising mem_bytes must say which access fell off the end.
+  Workload w = make_producer_consumer(64, 2);
+  SystemConfig cfg = SystemConfig::realistic(64, ConsistencyModel::kSC);
+  ASSERT_GT(w.min_mem_bytes, cfg.mem.mem_bytes);
+  Machine m(cfg, w.programs);
+  try {
+    m.run();
+    FAIL() << "run() past the end of memory did not throw";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("byte address 1048576"), std::string::npos) << what;
+    EXPECT_NE(what.find("mem_bytes 1048576"), std::string::npos) << what;
+  }
 }
 
 }  // namespace
