@@ -81,7 +81,7 @@ int main() {
   Machine m(cfg, {p0_program(), p1_program()});
   m.preload_shared(0, kD);      // "read D (hit)"
   m.preload_exclusive(1, kC);   // C's ownership must be recalled: arrives last
-  m.trace().enable();
+  m.trace_events().enable();
 
   std::printf("Figure 5 trace: buffers of P0 at every change\n");
   std::printf("(SC, speculative loads + exclusive prefetch; P1 invalidates D)\n\n");
@@ -104,16 +104,8 @@ int main() {
     }
   }
 
-  std::printf("\nkey pipeline events:\n");
-  const Trace::Category cat_squash = Trace::category("squash");
-  const Trace::Category cat_slb = Trace::category("slb");
-  const Trace::Category cat_coherence = Trace::category("coherence");
-  for (const auto& e : m.trace().events()) {
-    if (e.proc != 0) continue;
-    if (e.category == cat_squash || e.category == cat_slb || e.category == cat_coherence)
-      std::printf("  %6llu  %-10s %s\n", static_cast<unsigned long long>(e.cycle),
-                  Trace::category_name(e.category).c_str(), e.text.c_str());
-  }
+  std::printf("\nkey pipeline events:\n%s",
+              m.trace_events().to_text(0, {"slb", "coherence", "squash"}).c_str());
 
   Word r3 = m.core(0).reg(3);
   std::printf("\nfinal r3 (E[D]) = %u; expected %u (value at E[new D]) -> %s\n", r3, 222u,

@@ -59,7 +59,8 @@ void usage() {
       "                   fullmap|limptr|coarse (default fullmap)\n"
       "  --dir-banks=N    directory banks for every cell (default 1)\n"
       "  --sc-states=N    SC enumeration state budget (default 2000000)\n"
-      "  --repro-dir=DIR  write shrunk reproducers here (default .)\n"
+      "  --repro-dir=DIR  write shrunk reproducers here, creating DIR if\n"
+      "                   missing (default .)\n"
       "  --no-shrink      keep failing programs unshrunk\n"
       "  --fault=F        inject a policy bug: sc-load | sc-spec-tag | rc-release\n"
       "                   (exit 0 then means the fuzzer CAUGHT the bug)\n"
@@ -245,6 +246,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "WARNING: could not write %s\n", json_path.c_str());
   }
 
+  if (!rep.errors.empty()) {
+    std::fprintf(stderr, "ERROR: %zu reproducer I/O failure(s), listed above\n",
+                 rep.errors.size());
+    return 1;
+  }
   if (pf != PolicyFault::kNone) {
     // Self-test mode: the injected bug MUST be caught.
     if (rep.ok()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.hpp"
 #include "common/profile.hpp"
 
 namespace mcsim {

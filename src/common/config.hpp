@@ -161,10 +161,11 @@ struct SystemConfig {
   }
   std::uint64_t max_cycles = 10'000'000;  ///< watchdog against deadlock bugs
 
-  /// Event-driven fast-forward: Machine::run() skips spans of cycles
-  /// in which no component can make progress (next_event() sweep),
-  /// crediting the skipped cycles to the same stall causes the naive
-  /// loop would have charged. Cycle-identical to stepping one cycle at
+  /// Active-set fast-forward: Machine::run() ticks only the components
+  /// armed in its scheduler heap for the current cycle and jumps over
+  /// cycles where none is; a sleeping core's skipped cycles are charged
+  /// later with the one stall cause the naive loop would have charged
+  /// each of them. Cycle-identical to stepping one cycle at
   /// a time (pinned by tests/integration/fastforward_equivalence_test
   /// and the Debug MCSIM_FF_AUDIT lockstep audit); disable to force
   /// the naive loop (--no-fastforward).

@@ -21,10 +21,6 @@ const StatId squashed_instructions = StatNames::intern("squashed_instructions");
 const StatId squashes = StatNames::intern("squashes");
 }  // namespace stat
 
-namespace cat {
-const Trace::Category squash = Trace::category("squash");
-}  // namespace cat
-
 // Trace-event names for stall episodes, one per cause, interned once.
 TraceEventSink::NameId stall_event_name(StallCause c) {
   static const std::array<TraceEventSink::NameId, kNumStallCauses> ids = [] {
@@ -38,7 +34,14 @@ TraceEventSink::NameId stall_event_name(StallCause c) {
   return ids[static_cast<std::size_t>(c)];
 }
 
-const TraceEventSink::NameId ev_squash = TraceEventSink::name_id("squash");
+const TraceEventSink::NameId ev_squash = TraceEventSink::declare(
+    "squash", "squash", "{why:name} from seq={seq} refetch pc={pc} dropped={dropped}");
+
+// Squash reasons, recorded as the squash event's "why" field.
+namespace reason {
+const TraceEventSink::NameId branch = TraceEventSink::name_id("branch mispredict");
+const TraceEventSink::NameId rmw_value = TraceEventSink::name_id("rmw speculated value wrong");
+}  // namespace reason
 }  // namespace
 
 namespace {
@@ -53,14 +56,13 @@ SystemConfig resolve_for(const SystemConfig& cfg, ProcId id) {
 }  // namespace
 
 Core::Core(ProcId id, const SystemConfig& cfg, const Program& program,
-           CoherentCache& cache, Trace* trace, TraceEventSink* events)
+           CoherentCache& cache, TraceEventSink& events)
     : id_(id),
       cfg_(resolve_for(cfg, id)),
       program_(program),
-      trace_(trace),
       events_(events),
       predictor_(cfg_.core.btb_entries),
-      lsu_(id, cfg_, cache, *this, trace, events),
+      lsu_(id, cfg_, cache, *this, events),
       stats_("core" + std::to_string(id)) {
   rename_.fill(kNoProducer);
   cache.set_observer(this);
@@ -131,7 +133,7 @@ void Core::charge_frozen_span(Cycle now, std::uint64_t span) {
 
 void Core::charge_stall(StallCause c, std::uint64_t cycles, Cycle now) {
   stall_[static_cast<std::size_t>(c)] += cycles;
-  if (events_ != nullptr && events_->enabled() && c != episode_cause_) {
+  if (events_.enabled() && c != episode_cause_) {
     flush_stall_episode(now);
     episode_cause_ = c;
     episode_start_ = now;
@@ -139,12 +141,12 @@ void Core::charge_stall(StallCause c, std::uint64_t cycles, Cycle now) {
 }
 
 void Core::flush_stall_episode(Cycle now) {
-  if (events_ == nullptr || !events_->enabled()) return;
+  if (!events_.enabled()) return;
   // Busy and idle stretches are the baseline, not anomalies; emitting
   // them would drown the interesting episodes in the viewer.
   if (episode_cause_ != StallCause::kBusy && episode_cause_ != StallCause::kIdle) {
-    events_->complete(stall_event_name(episode_cause_),
-                      static_cast<std::uint16_t>(id_), episode_start_, now);
+    events_.complete(stall_event_name(episode_cause_),
+                     static_cast<std::uint16_t>(id_), episode_start_, now);
   }
 }
 
@@ -272,7 +274,7 @@ void Core::do_execute(Cycle now) {
         stats_.add(stat::branch_mispredicts);
         const std::size_t target =
             taken ? static_cast<std::size_t>(e.inst.imm) : e.pc + 1;
-        squash_from(e.seq + 1, target, now, "branch mispredict");
+        squash_from(e.seq + 1, target, now, reason::branch);
         break;  // younger entries are gone
       }
     }
@@ -377,7 +379,7 @@ void Core::do_fetch(Cycle now) {
 }
 
 void Core::squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now,
-                       const char* why, SquashOrigin origin) {
+                       TraceEventSink::NameId why, SquashOrigin origin) {
   note_progress();
   std::size_t dropped = 0;
   while (!rob_.empty() && rob_.back().seq >= seq) {
@@ -396,12 +398,9 @@ void Core::squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now,
   }
   stats_.add(stat::squashes);
   stats_.add(stat::squashed_instructions, dropped);
-  if (events_ != nullptr && events_->enabled())
-    events_->instant(ev_squash, static_cast<std::uint16_t>(id_), now);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::squash,
-                std::string(why) + " from seq=" + std::to_string(seq) + " refetch pc=" +
-                    std::to_string(refetch_pc) + " dropped=" + std::to_string(dropped));
+  if (events_.enabled())
+    events_.instant(ev_squash, static_cast<std::uint16_t>(id_), now,
+                    {why, seq, refetch_pc, dropped});
 }
 
 void Core::mem_completed(std::uint64_t seq, Word value, Cycle now) {
@@ -414,7 +413,7 @@ void Core::mem_completed(std::uint64_t seq, Word value, Cycle now) {
       // Appendix-A speculation delivered a value that differs from the
       // one the atomic actually read: discard dependent computation.
       stats_.add(stat::rmw_value_mispredicts);
-      squash_from(seq + 1, e->pc + 1, now, "rmw speculated value wrong");
+      squash_from(seq + 1, e->pc + 1, now, reason::rmw_value);
       e = rob_find(seq);  // references may have moved
       assert(e != nullptr);
     }
@@ -452,7 +451,8 @@ void Core::rmw_spec_value(std::uint64_t seq, Word value, Cycle now) {
   broadcast(seq, value);
 }
 
-void Core::request_squash_refetch(std::uint64_t seq, Cycle now, const char* reason) {
+void Core::request_squash_refetch(std::uint64_t seq, Cycle now,
+                                  TraceEventSink::NameId reason) {
   // A squash target is always an uncommitted instruction: a load with a
   // live speculative-load entry cannot retire, and nothing younger than
   // an unretired entry can have retired either. If seq points past the

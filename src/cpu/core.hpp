@@ -21,7 +21,6 @@
 #include "common/json.hpp"
 #include "common/stall.hpp"
 #include "common/stats.hpp"
-#include "common/trace.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
 #include "coherence/cache.hpp"
@@ -35,7 +34,7 @@ namespace mcsim {
 class Core : public LsuHost, public LineEventObserver {
  public:
   Core(ProcId id, const SystemConfig& cfg, const Program& program, CoherentCache& cache,
-       Trace* trace, TraceEventSink* events = nullptr);
+       TraceEventSink& events);
 
   /// Advance one cycle. The cache must have ticked already.
   void tick(Cycle now);
@@ -75,7 +74,8 @@ class Core : public LsuHost, public LineEventObserver {
   // --- LsuHost --------------------------------------------------------
   void mem_completed(std::uint64_t seq, Word value, Cycle now) override;
   void rmw_spec_value(std::uint64_t seq, Word value, Cycle now) override;
-  void request_squash_refetch(std::uint64_t seq, Cycle now, const char* reason) override;
+  void request_squash_refetch(std::uint64_t seq, Cycle now,
+                              TraceEventSink::NameId reason) override;
 
   // --- LineEventObserver (wired to this core's cache) -----------------
   void on_line_event(LineEventKind kind, Addr line, Cycle now) override;
@@ -127,7 +127,8 @@ class Core : public LsuHost, public LineEventObserver {
   /// Add `cycles` to cause `c` and open a new trace episode at `now`
   /// if the cause changed.
   void charge_stall(StallCause c, std::uint64_t cycles, Cycle now);
-  void squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now, const char* why,
+  void squash_from(std::uint64_t seq, std::size_t refetch_pc, Cycle now,
+                   TraceEventSink::NameId why,
                    SquashOrigin origin = SquashOrigin::kPipeline);
 
   RobEntry* rob_find(std::uint64_t seq);
@@ -142,8 +143,7 @@ class Core : public LsuHost, public LineEventObserver {
   /// with any per_core override for this processor already applied.
   SystemConfig cfg_;
   const Program& program_;
-  Trace* trace_;
-  TraceEventSink* events_;
+  TraceEventSink& events_;
 
   std::deque<RobEntry> rob_;
   std::array<Word, kNumArchRegs> regfile_{};

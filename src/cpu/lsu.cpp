@@ -1,8 +1,10 @@
 #include "cpu/lsu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <sstream>
+#include <string>
 
 #include "common/profile.hpp"
 
@@ -30,30 +32,53 @@ const StatId store_latency = StatNames::intern("store_latency");
 const StatId store_release_latency = StatNames::intern("store_release_latency");
 }  // namespace stat
 
-// Trace categories and trace-event names likewise intern once; call
-// sites compare/pass integers so a disabled trace costs one branch.
-namespace cat {
-const Trace::Category sb = Trace::category("sb");
-const Trace::Category slb = Trace::category("slb");
-const Trace::Category lq = Trace::category("lq");
-const Trace::Category coherence = Trace::category("coherence");
-}  // namespace cat
-
+// Trace-event names likewise intern once; call sites pass integers so
+// a disabled sink costs one branch. The declared ones are the Figure-5
+// walkthrough's events: category and line template for to_text().
 namespace ev {
-const TraceEventSink::NameId load = TraceEventSink::name_id("load");
-const TraceEventSink::NameId rmw_read = TraceEventSink::name_id("rmw-read");
-const TraceEventSink::NameId store = TraceEventSink::name_id("store");
-const TraceEventSink::NameId rmw = TraceEventSink::name_id("rmw");
+using Sink = TraceEventSink;
+const Sink::NameId load = Sink::name_id("load");
+const Sink::NameId rmw_read = Sink::name_id("rmw-read");
+const Sink::NameId store = Sink::declare("store", "sb", "complete seq={seq}");
+const Sink::NameId rmw = Sink::declare("rmw", "sb", "rmw complete seq={seq}");
+const Sink::NameId sb_release = Sink::declare("sb:release", "sb", "release seq={seq}");
+const Sink::NameId sb_issue = Sink::declare("sb:issue", "sb", "issue seq={seq} addr={addr}");
+const Sink::NameId lq_issue =
+    Sink::declare("lq:issue", "lq", "issue seq={seq} addr={addr} rmw-read={rmw_read}");
+const Sink::NameId lq_reissue =
+    Sink::declare("lq:reissue", "lq", "reissue seq={seq} addr={addr} rmw-read={rmw_read}");
+const Sink::NameId slb_insert =
+    Sink::declare("slb:insert", "slb", "insert seq={seq} addr={addr} acq={acq}");
+const Sink::NameId slb_retired = Sink::declare("slb:retired", "slb", "retired {count}");
+const Sink::NameId slb_reissue = Sink::declare("slb:reissue", "slb", "reissue seq={seq}");
+
+Sink::NameId declare_line_event(LineEventKind k) {
+  const std::string kind = to_string(k);
+  return Sink::declare("coherence:" + kind, "coherence", kind + " line={line}");
+}
+/// Indexed by LineEventKind.
+const std::array<Sink::NameId, 3> line_event = {
+    declare_line_event(LineEventKind::kInvalidate), declare_line_event(LineEventKind::kUpdate),
+    declare_line_event(LineEventKind::kReplacement)};
 }  // namespace ev
+
+// Squash reasons, recorded as the squash event's "why" field.
+namespace reason {
+const TraceEventSink::NameId rmw_value =
+    TraceEventSink::name_id("rmw speculative value invalidated");
+const TraceEventSink::NameId after_rmw =
+    TraceEventSink::name_id("computation after RMW invalidated");
+const TraceEventSink::NameId spec_load =
+    TraceEventSink::name_id("speculative load value invalidated");
+}  // namespace reason
 }  // namespace
 
 LoadStoreUnit::LoadStoreUnit(ProcId id, const SystemConfig& cfg, CoherentCache& cache,
-                             LsuHost& host, Trace* trace, TraceEventSink* events)
+                             LsuHost& host, TraceEventSink& events)
     : id_(id),
       cfg_(cfg),
       cache_(cache),
       host_(host),
-      trace_(trace),
       events_(events),
       spec_buffer_(cfg.core.spec_load_buffer_entries),
       prefetch_(cfg.core.prefetch, cfg.mem.coherence, cfg.core.prefetch_buffer_entries),
@@ -95,8 +120,7 @@ void LoadStoreUnit::release_store(std::uint64_t seq, Cycle now) {
   s->released = true;
   s->released_at = now;
   note_progress();
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::sb, "release seq=" + std::to_string(seq));
+  if (events_.enabled()) events_.instant(ev::sb_release, track(), now, {seq});
 }
 
 bool LoadStoreUnit::store_in_buffer(std::uint64_t seq) const {
@@ -320,10 +344,7 @@ void LoadStoreUnit::insert_spec_entry(const LoadEntry& ld, Cycle now) {
   }
   spec_buffer_.insert(e);
   stats_.add(stat::spec_entries);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::slb,
-                "insert seq=" + std::to_string(e.seq) + " addr=" + std::to_string(e.addr) +
-                    " acq=" + (e.acq ? std::string("1") : std::string("0")));
+  if (events_.enabled()) events_.instant(ev::slb_insert, track(), now, {e.seq, e.addr, e.acq});
 }
 
 void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
@@ -383,11 +404,9 @@ void LoadStoreUnit::issue_load(LoadEntry& ld, Cycle now) {
     spec_buffer_.mark_nonspec(ld.seq);
   }
   stats_.add(was_reissue ? stat::load_reissued : stat::load_issued);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::lq,
-                std::string(was_reissue ? "reissue" : "issue") + " seq=" +
-                    std::to_string(ld.seq) + " addr=" + std::to_string(ld.addr) +
-                    (ld.is_rmw_read ? " rmw-read" : ""));
+  if (events_.enabled())
+    events_.instant(was_reissue ? ev::lq_reissue : ev::lq_issue, track(), now,
+                    {ld.seq, ld.addr, ld.is_rmw_read});
 }
 
 void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
@@ -422,9 +441,7 @@ void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
   st.issued = true;
   note_progress();
   stats_.add(st.is_rmw ? stat::rmw_issued : stat::store_issued);
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::sb,
-                "issue seq=" + std::to_string(st.seq) + " addr=" + std::to_string(st.addr));
+  if (events_.enabled()) events_.instant(ev::sb_issue, track(), now, {st.seq, st.addr});
 }
 
 void LoadStoreUnit::offer_prefetches(Cycle now) {
@@ -598,8 +615,7 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         }
         record(info.seq, e->pc, e->addr, AccessKind::kLoad, e->sync, r.value, now);
         stats_.sample(stat::load_latency, now - e->ready_at);
-        if (events_ != nullptr && events_->enabled())
-          events_->complete(ev::load, static_cast<std::uint16_t>(id_), e->ready_at, now);
+        if (events_.enabled()) events_.complete(ev::load, track(), e->ready_at, now);
         erase_load(info.seq);
         spec_buffer_.mark_done(info.seq, r.value, now);
         host_.mem_completed(info.seq, r.value, now);
@@ -611,8 +627,7 @@ void LoadStoreUnit::drain_responses(Cycle now) {
           stats_.add(stat::response_dropped);
           break;
         }
-        if (events_ != nullptr && events_->enabled())
-          events_->complete(ev::rmw_read, static_cast<std::uint16_t>(id_), e->ready_at, now);
+        if (events_.enabled()) events_.complete(ev::rmw_read, track(), e->ready_at, now);
         erase_load(info.seq);
         spec_buffer_.mark_done(info.seq, r.value, now);
         host_.rmw_spec_value(info.seq, r.value, now);
@@ -624,13 +639,11 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         record(info.seq, s->pc, s->addr, AccessKind::kStore, s->sync, s->data.value, now);
         stats_.sample(stat::store_latency, now - s->ready_at);
         stats_.sample(stat::store_release_latency, now - s->released_at);
-        if (events_ != nullptr && events_->enabled())
-          events_->complete(ev::store, static_cast<std::uint16_t>(id_), s->ready_at, now);
+        if (events_.enabled())
+          events_.complete(ev::store, track(), s->ready_at, now, {info.seq});
         erase_store(info.seq);
         spec_buffer_.nullify_store_tag(info.seq);
         host_.mem_completed(info.seq, 0, now);
-        if (trace_ != nullptr && trace_->enabled())
-          trace_->log(now, id_, cat::sb, "complete seq=" + std::to_string(info.seq));
         break;
       }
       case TokenInfo::Kind::kRmw: {
@@ -639,8 +652,7 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         record(info.seq, s->pc, s->addr, AccessKind::kRmw, s->sync, r.value, now);
         stats_.sample(stat::rmw_latency, now - s->ready_at);
         if (s->released) stats_.sample(stat::store_release_latency, now - s->released_at);
-        if (events_ != nullptr && events_->enabled())
-          events_->complete(ev::rmw, static_cast<std::uint16_t>(id_), s->ready_at, now);
+        if (events_.enabled()) events_.complete(ev::rmw, track(), s->ready_at, now, {info.seq});
         erase_store(info.seq);
         // Drop a still-pending speculative read-exclusive for this RMW:
         // its return value must be ignored once the atomic has issued.
@@ -648,8 +660,6 @@ void LoadStoreUnit::drain_responses(Cycle now) {
         spec_buffer_.nullify_store_tag(info.seq);
         spec_buffer_.mark_done(info.seq, r.value, now);
         host_.mem_completed(info.seq, r.value, now);
-        if (trace_ != nullptr && trace_->enabled())
-          trace_->log(now, id_, cat::sb, "rmw complete seq=" + std::to_string(info.seq));
         break;
       }
     }
@@ -686,8 +696,7 @@ void LoadStoreUnit::retire_spec_entries(Cycle now) {
   if (retired.empty()) return;
   note_progress();
   stats_.add(stat::spec_retired, retired.size());
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::slb, "retired " + std::to_string(retired.size()));
+  if (events_.enabled()) events_.instant(ev::slb_retired, track(), now, {retired.size()});
   if (cfg_.record_accesses) {
     // Restamp loads to their retirement instant: that is when they
     // stop being speculative, and coherence monitoring guarantees the
@@ -702,9 +711,8 @@ void LoadStoreUnit::retire_spec_entries(Cycle now) {
 }
 
 void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
-  if (trace_ != nullptr && trace_->enabled())
-    trace_->log(now, id_, cat::coherence,
-                std::string(to_string(kind)) + " line=" + std::to_string(line));
+  if (events_.enabled())
+    events_.instant(ev::line_event[static_cast<std::size_t>(kind)], track(), now, {line});
   if (spec_buffer_.empty()) return;
   SpecLoadBuffer::MatchResult mr = spec_buffer_.on_line_event(kind, line);
   for (std::uint64_t seq : mr.reissue) {
@@ -714,8 +722,7 @@ void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
     e->reissue = true;
     spec_buffer_.mark_reissued(seq);
     stats_.add(stat::spec_reissue);
-    if (trace_ != nullptr && trace_->enabled())
-      trace_->log(now, id_, cat::slb, "reissue seq=" + std::to_string(seq));
+    if (events_.enabled()) events_.instant(ev::slb_reissue, track(), now, {seq});
   }
   if (!mr.squash) return;
 
@@ -739,16 +746,15 @@ void LoadStoreUnit::on_line_event(LineEventKind kind, Addr line, Cycle now) {
     StoreEntry* st = find_store(mr.squash_seq);
     if (st != nullptr && !st->issued) {
       stats_.add(stat::spec_squash_rmw);
-      host_.request_squash_refetch(mr.squash_seq, now, "rmw speculative value invalidated");
+      host_.request_squash_refetch(mr.squash_seq, now, reason::rmw_value);
     } else {
       spec_buffer_.mark_reissued(mr.squash_seq);
       stats_.add(stat::spec_squash_after_rmw);
-      host_.request_squash_refetch(mr.squash_seq + 1, now,
-                                   "computation after RMW invalidated");
+      host_.request_squash_refetch(mr.squash_seq + 1, now, reason::after_rmw);
     }
   } else {
     stats_.add(stat::spec_squash);
-    host_.request_squash_refetch(mr.squash_seq, now, "speculative load value invalidated");
+    host_.request_squash_refetch(mr.squash_seq, now, reason::spec_load);
   }
 }
 

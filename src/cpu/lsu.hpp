@@ -23,7 +23,6 @@
 #include "common/json.hpp"
 #include "common/stall.hpp"
 #include "common/stats.hpp"
-#include "common/trace.hpp"
 #include "common/trace_event.hpp"
 #include "common/types.hpp"
 #include "coherence/cache.hpp"
@@ -45,8 +44,10 @@ class LsuHost {
   /// value; the core may bind the RMW's destination speculatively.
   virtual void rmw_spec_value(std::uint64_t seq, Word value, Cycle now) = 0;
   /// §4.2 correction mechanism: squash `seq` and everything younger,
-  /// then refetch starting at `seq`'s instruction.
-  virtual void request_squash_refetch(std::uint64_t seq, Cycle now, const char* reason) = 0;
+  /// then refetch starting at `seq`'s instruction. `reason` is the
+  /// interned name the squash event's "why" field records.
+  virtual void request_squash_refetch(std::uint64_t seq, Cycle now,
+                                      TraceEventSink::NameId reason) = 0;
 };
 
 /// Why a squash reached the LSU — profiling splits coherence-triggered
@@ -59,7 +60,7 @@ enum class SquashOrigin : std::uint8_t { kPipeline, kCoherence };
 class LoadStoreUnit {
  public:
   LoadStoreUnit(ProcId id, const SystemConfig& cfg, CoherentCache& cache, LsuHost& host,
-                Trace* trace, TraceEventSink* events = nullptr);
+                TraceEventSink& events);
 
   bool can_dispatch() const { return ls_rs_.size() < cfg_.core.ls_rs_entries; }
 
@@ -240,13 +241,14 @@ class LoadStoreUnit {
   /// call this; missing one breaks the fast-forward quiescence proof
   /// (caught by the MCSIM_FF_AUDIT lockstep and the equivalence tests).
   void note_progress() { progress_ = true; }
+  /// This core's trace-event track.
+  std::uint16_t track() const { return static_cast<std::uint16_t>(id_); }
 
   ProcId id_;
   const SystemConfig& cfg_;
   CoherentCache& cache_;
   LsuHost& host_;
-  Trace* trace_;
-  TraceEventSink* events_;
+  TraceEventSink& events_;
   MemStallClassifier mem_classifier_;
 
   std::deque<RsEntry> ls_rs_;

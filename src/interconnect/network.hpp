@@ -88,11 +88,15 @@ class Network {
   }
 
   /// Earliest future cycle at which deliver() itself can move a
-  /// message — next_event() minus the inboxed-message term (inboxed
-  /// traffic is the *receiving endpoint's* business; the delivery hook
-  /// armed it when the message landed). Never less than `now`:
-  /// bandwidth-deferred and on-link messages answer `now` because they
-  /// move on the very next deliver() call. O(1) for the crossbar.
+  /// message; kCycleNever when nothing is in flight. Never less than
+  /// `now`: a bandwidth-deferred message parked in a stall deque, or a
+  /// routed message on a link (hop-by-hop movement can be gated only by
+  /// other on-fabric traffic, which is itself actionable), moves on the
+  /// very next deliver() call. Otherwise the crossbar's answer is the
+  /// heap top's deliver_at and the routed fabric's is the min ready_at
+  /// over injection-queue fronts (injection is head-of-line FIFO, so
+  /// only fronts can act). O(1) for the crossbar, O(routers) for
+  /// ring/mesh while messages wait for injection with every link empty.
   Cycle deliver_next_event(Cycle now) const;
 
   /// O(1): no messages in flight or undelivered (counter updated in
@@ -100,16 +104,11 @@ class Network {
   /// builds and by debug_scan_undelivered()).
   bool idle() const;
 
-  /// Earliest future cycle at which deliver() can move a message, for
-  /// the fast-forward scheduler; kCycleNever when fully quiescent.
-  /// Returns `now` whenever anything is already actionable: an inbox
-  /// holds undrained messages, a bandwidth-deferred message is parked
-  /// in a stall deque, or a routed message sits on a link (hop-by-hop
-  /// movement can be gated only by other on-fabric traffic, which is
-  /// itself actionable). Otherwise the crossbar's answer is the heap
-  /// top's deliver_at and the routed fabric's is the min ready_at over
-  /// injection-queue fronts (injection is head-of-line FIFO, so only
-  /// fronts can act). O(1) for the crossbar, O(routers) for ring/mesh.
+  /// Earliest future cycle at which the network has work, for the
+  /// fast-forward scheduler; kCycleNever when fully quiescent: `now`
+  /// while an inbox holds undrained messages (inboxed traffic is the
+  /// receiving endpoint's business; the delivery hook armed it when the
+  /// message landed), else deliver_next_event().
   Cycle next_event(Cycle now) const;
 
   /// The scanned ground truth behind idle()'s counter: every message

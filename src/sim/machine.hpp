@@ -19,7 +19,6 @@
 #include "common/config.hpp"
 #include "common/json.hpp"
 #include "common/stall.hpp"
-#include "common/trace.hpp"
 #include "common/trace_event.hpp"
 #include "coherence/cache.hpp"
 #include "coherence/directory.hpp"
@@ -38,7 +37,8 @@ struct RunResult {
   std::vector<std::uint64_t> retired;     ///< instructions per processor
   std::vector<Cycle> drain_cycle;         ///< per-processor completion time
   /// Per-processor cycles-by-cause; each entry sums to `ticks` exactly
-  /// (every core is ticked every machine cycle).
+  /// (every machine cycle is charged to one cause per core, by its live
+  /// tick or, for a sleeping core, by the flush of its frozen span).
   std::vector<StallBreakdown> stall;
 };
 
@@ -82,8 +82,8 @@ class Machine {
   DirectoryGroup& directory() { return dir_; }
   const DirectoryGroup& directory() const { return dir_; }
   Network& network() { return net_; }
-  Trace& trace() { return trace_; }
-  /// Chrome trace-event timeline; call .enable() before run() to record.
+  /// The trace-event stream (Chrome JSON and Figure-5 text renderers);
+  /// call .enable() before run() to record.
   TraceEventSink& trace_events() { return events_; }
   const TraceEventSink& trace_events() const { return events_; }
   const SystemConfig& config() const { return cfg_; }
@@ -163,7 +163,6 @@ class Machine {
 #endif
 
   SystemConfig cfg_;
-  Trace trace_;
   TraceEventSink events_;
   std::vector<Program> programs_;
   Network net_;

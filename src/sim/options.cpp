@@ -187,7 +187,6 @@ std::string options_help() {
       "                           binary .mctb; repeatable, one cell per file)\n"
       "  --trace-dir=DIR          run every *.mct / *.mctb trace under DIR\n"
       "environment:\n"
-      "  MCSIM_LOG_LEVEL=error|warn|info|debug   runtime log verbosity\n"
       "  MCSIM_JOBS=N             worker threads for experiment sweeps\n";
 }
 

@@ -1,5 +1,6 @@
 #include "sva/fuzz_harness.hpp"
 
+#include <filesystem>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -240,12 +241,20 @@ std::string FuzzReport::summary() const {
     if (!v.repro_path.empty()) os << ", " << v.repro_path;
     os << "): " << v.detail;
   }
+  for (const std::string& e : errors) os << "\n  error: " << e;
   return os.str();
 }
 
 FuzzReport run_fuzz(const FuzzConfig& cfg) {
   FuzzReport rep;
   ExperimentRunner runner(cfg.workers);
+  if (!cfg.repro_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(cfg.repro_dir, ec);
+    if (ec)
+      rep.errors.push_back("cannot create reproducer directory " + cfg.repro_dir + ": " +
+                           ec.message());
+  }
 
   std::vector<FuzzCell> cells;
   for (ConsistencyModel m : cfg.models) {
@@ -340,7 +349,10 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
       if (!cfg.repro_dir.empty()) {
         v.repro_path = cfg.repro_dir + "/repro-" + std::to_string(child) + "-" +
                        to_string(v.cell.model) + "-" + v.cell.tech.label() + ".litmus";
-        if (!write_reproducer(v.repro_path, v.repro)) v.repro_path.clear();
+        if (!write_reproducer(v.repro_path, v.repro)) {
+          rep.errors.push_back("cannot write reproducer " + v.repro_path);
+          v.repro_path.clear();
+        }
       }
       rep.violations.push_back(std::move(v));
     }

@@ -87,7 +87,8 @@ struct FuzzConfig {
   LitmusGenConfig gen;
   unsigned workers = 0;  ///< ExperimentRunner workers (0 = MCSIM_JOBS / all cores)
   std::uint64_t sc_max_states = 2'000'000;
-  /// Directory for reproducer files; empty = keep reproducers in memory only.
+  /// Directory for reproducer files, created if missing; empty = keep
+  /// reproducers in memory only.
   std::string repro_dir;
   bool shrink = true;
   std::size_t max_failures = 8;  ///< stop fuzzing after this many failing programs
@@ -123,6 +124,10 @@ struct FuzzReport {
   /// model's techniques-OFF final state (informational).
   std::uint64_t divergences = 0;
   std::vector<FuzzViolation> violations;
+  /// I/O failures: a repro_dir that could not be created, or a
+  /// reproducer file that could not be written. Not part of ok():
+  /// a lost reproducer is a fault of the run, not of the machine.
+  std::vector<std::string> errors;
   bool ok() const { return violations.empty(); }
   std::string summary() const;  ///< one-paragraph human-readable digest
 };

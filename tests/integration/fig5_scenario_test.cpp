@@ -45,7 +45,7 @@ TEST(Fig5Scenario, DetectionAndCorrectionSequence) {
   Machine m(cfg, {p0_program(), p1_program(55)});
   m.preload_shared(0, kD);      // "read D (hit)"
   m.preload_exclusive(1, kC);   // store C's ownership arrives last
-  m.trace().enable();
+  m.trace_events().enable();
   RunResult r = m.run();
   ASSERT_FALSE(r.deadlocked);
 
@@ -54,44 +54,42 @@ TEST(Fig5Scenario, DetectionAndCorrectionSequence) {
   EXPECT_EQ(m.core(0).reg(3), 222u);
   EXPECT_EQ(m.core(0).stats().get("squashes"), 1u);
 
-  // Event-kind sequence on P0 (paper events 1, 5, 6, 7/9 in order):
-  // speculative inserts for A, D, E[old D]; the invalidation for D; the
-  // squash; the re-insert of D; the re-insert of E at the NEW address.
-  const Trace::Category cat_coherence = Trace::category("coherence");
-  const Trace::Category cat_squash = Trace::category("squash");
-  const Trace::Category cat_slb = Trace::category("slb");
-  std::vector<std::string> slb;
+  // Event-kind sequence on P0's track (paper events 1, 5, 6, 7/9 in
+  // order): speculative inserts for A, D, E[old D]; the invalidation
+  // for D; the squash; the re-insert of D; the re-insert of E at the
+  // NEW address. Read from the Chrome renderer's instants and args.
+  const Json trace = m.trace_events().to_json();
+  const Json& ev = trace["traceEvents"];
+  std::vector<std::uint64_t> slb_addrs;
   bool saw_inval_d = false, saw_squash = false;
-  Cycle inval_cycle = 0, squash_cycle = 0;
-  for (const auto& e : m.trace().events()) {
-    if (e.proc != 0) continue;
-    if (e.category == cat_coherence &&
-        e.text.find("invalidate line=" + std::to_string(kD)) != std::string::npos) {
+  std::uint64_t inval_cycle = 0, squash_cycle = 0;
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    const Json& e = ev[i];
+    if (e["ph"].as_string() != "i" || e["tid"].as_uint() != 0) continue;
+    const std::string name = e["name"].as_string();
+    if (name == "coherence:invalidate" && e["args"]["line"].as_uint() == kD) {
       saw_inval_d = true;
-      inval_cycle = e.cycle;
+      inval_cycle = e["ts"].as_uint();
     }
-    if (e.category == cat_squash) {
+    if (name == "squash") {
       saw_squash = true;
-      squash_cycle = e.cycle;
+      squash_cycle = e["ts"].as_uint();
       EXPECT_TRUE(saw_inval_d) << "squash must be caused by the invalidation";
+      EXPECT_EQ(e["args"]["why"].as_string(), "speculative load value invalidated");
     }
-    if (e.category == cat_slb && e.text.rfind("insert", 0) == 0) slb.push_back(e.text);
+    if (name == "slb:insert") slb_addrs.push_back(e["args"]["addr"].as_uint());
   }
   EXPECT_TRUE(saw_inval_d);
   EXPECT_TRUE(saw_squash);
   EXPECT_EQ(inval_cycle, squash_cycle) << "detection acts immediately";
 
   // Five speculative-load inserts: A, D, E[old], then D and E[new] again.
-  ASSERT_EQ(slb.size(), 5u);
-  auto addr_of = [](const std::string& s) {
-    std::size_t p = s.find("addr=");
-    return std::stoull(s.substr(p + 5));
-  };
-  EXPECT_EQ(addr_of(slb[0]), kA);
-  EXPECT_EQ(addr_of(slb[1]), kD);
-  EXPECT_EQ(addr_of(slb[2]), kEBase + 4 * kDOld);
-  EXPECT_EQ(addr_of(slb[3]), kD);                  // reissued after the squash
-  EXPECT_EQ(addr_of(slb[4]), kEBase + 4 * kDNew);  // new address!
+  ASSERT_EQ(slb_addrs.size(), 5u);
+  EXPECT_EQ(slb_addrs[0], kA);
+  EXPECT_EQ(slb_addrs[1], kD);
+  EXPECT_EQ(slb_addrs[2], kEBase + 4 * kDOld);
+  EXPECT_EQ(slb_addrs[3], kD);                  // reissued after the squash
+  EXPECT_EQ(slb_addrs[4], kEBase + 4 * kDNew);  // new address!
 }
 
 TEST(Fig5Scenario, LateInvalidationIsArchitecturallyLegal) {

@@ -3,6 +3,9 @@
 // and shrunk to a tiny reproducer; partial SC enumeration is reported
 // as inconclusive rather than passing; and the report is identical
 // whatever the worker count.
+#include <filesystem>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "consistency/policy.hpp"
@@ -42,27 +45,48 @@ TEST_F(FuzzHarness, CleanMachinePassesEveryCell) {
 TEST_F(FuzzHarness, InjectedFaultIsCaughtAndShrunkSmall) {
   // The acceptance loop: weaken SC's load gate, fuzz SC only, and the
   // harness must find it AND shrink the reproducer to a handful of
-  // instructions.
-  set_policy_fault(PolicyFault::kSCLoadIgnoresStores);
-  FuzzConfig cfg = small_config();
-  cfg.programs = 30;
-  cfg.models = {ConsistencyModel::kSC};
-  cfg.max_failures = 1;  // stop at the first catch
-  FuzzReport rep = run_fuzz(cfg);
-  ASSERT_FALSE(rep.ok()) << "the fuzzer missed an injected SC hole";
-  const FuzzViolation& v = rep.violations.front();
-  EXPECT_EQ(v.cell.model, ConsistencyModel::kSC);
-  EXPECT_LE(v.shrunk_insts, 8u) << "shrinker left a bloated reproducer";
-  EXPECT_GE(v.shrunk_insts, 1u);
-  EXPECT_FALSE(v.repro.note.empty());
-  EXPECT_EQ(v.repro.litmus.seed, v.seed);
-  // The shrunk reproducer still fails while the fault is active...
-  CellCheck still = verify_litmus_cell(v.repro.litmus, v.cell, nullptr);
-  EXPECT_TRUE(still.failed) << "shrunk reproducer no longer reproduces";
-  // ...and is clean once the machine is healthy again.
-  set_policy_fault(PolicyFault::kNone);
-  CellCheck healthy = verify_litmus_cell(v.repro.litmus, v.cell, nullptr);
-  EXPECT_FALSE(healthy.failed) << healthy.detail;
+  // instructions. Run once keeping the reproducer in memory and once
+  // writing it under a nested directory that does not exist yet: the
+  // campaign must create it, and the written file must replay.
+  const std::filesystem::path root = "fuzz_harness_test_repros";
+  std::filesystem::remove_all(root);
+  for (const std::string& repro_dir : {std::string(), (root / "nested").string()}) {
+    SCOPED_TRACE("repro_dir=" + repro_dir);
+    set_policy_fault(PolicyFault::kSCLoadIgnoresStores);
+    FuzzConfig cfg = small_config();
+    cfg.programs = 30;
+    cfg.models = {ConsistencyModel::kSC};
+    cfg.max_failures = 1;  // stop at the first catch
+    cfg.repro_dir = repro_dir;
+    FuzzReport rep = run_fuzz(cfg);
+    ASSERT_FALSE(rep.ok()) << "the fuzzer missed an injected SC hole";
+    EXPECT_TRUE(rep.errors.empty()) << rep.summary();
+    const FuzzViolation& v = rep.violations.front();
+    EXPECT_EQ(v.cell.model, ConsistencyModel::kSC);
+    EXPECT_LE(v.shrunk_insts, 8u) << "shrinker left a bloated reproducer";
+    EXPECT_GE(v.shrunk_insts, 1u);
+    EXPECT_FALSE(v.repro.note.empty());
+    EXPECT_EQ(v.repro.litmus.seed, v.seed);
+    Reproducer replayed = v.repro;
+    if (repro_dir.empty()) {
+      EXPECT_TRUE(v.repro_path.empty());
+    } else {
+      ASSERT_FALSE(v.repro_path.empty()) << "reproducer not written";
+      ASSERT_TRUE(std::filesystem::exists(v.repro_path)) << v.repro_path;
+      replayed = load_reproducer(v.repro_path);
+    }
+    // Replay on the cell the reproducer records, as fuzz_models --replay
+    // does. The shrunk reproducer still fails while the fault is active...
+    const FuzzCell cell{replayed.model, {replayed.prefetch, replayed.speculative_loads}};
+    EXPECT_EQ(cell.label(), v.cell.label());
+    CellCheck still = verify_litmus_cell(replayed.litmus, cell, nullptr);
+    EXPECT_TRUE(still.failed) << "shrunk reproducer no longer reproduces";
+    // ...and is clean once the machine is healthy again.
+    set_policy_fault(PolicyFault::kNone);
+    CellCheck healthy = verify_litmus_cell(replayed.litmus, cell, nullptr);
+    EXPECT_FALSE(healthy.failed) << healthy.detail;
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(FuzzHarness, PartialScEnumerationIsInconclusiveNotPassing) {
