@@ -777,9 +777,7 @@ std::uint64_t CoherentCache::debug_scan_busy() const {
 }
 
 bool CoherentCache::idle() const {
-#ifdef MCSIM_FF_AUDIT
-  assert(busy_ == debug_scan_busy());
-#endif
+  if (audit_) assert(busy_ == debug_scan_busy());
   return busy_ == 0;
 }
 

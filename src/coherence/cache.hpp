@@ -95,8 +95,8 @@ class CoherentCache {
   bool mshr_active(Addr a) const { return find_mshr(line_of(a)) != nullptr; }
   std::size_t mshrs_in_use() const;
   /// O(1): pending-work counter kept in sync at every MSHR/response/
-  /// retry-fill/word-op mutation; audited against the full scan under
-  /// MCSIM_FF_AUDIT.
+  /// retry-fill/word-op mutation; checked against the full scan on
+  /// every call when MCSIM_AUDIT is on.
   bool idle() const;
   /// The scanned ground truth behind idle()'s counter.
   std::uint64_t debug_scan_busy() const;
@@ -211,7 +211,7 @@ class CoherentCache {
   // message handling, evictions) — never on rejected/gated paths, which
   // a sleeping core repeats every cycle without being ticked — so
   // profiler counters stay cycle-identical under fast-forward
-  // (MCSIM_FF_AUDIT covers them via stats_report()).
+  // (the MCSIM_AUDIT lockstep covers them via stats_report()).
   void pf_issue(Addr line, bool ex, Cycle now);
   void pf_demand_touch(Addr line, Cycle now);
   void pf_fill(Addr line, Cycle now);
@@ -247,6 +247,7 @@ class CoherentCache {
 
   std::uint64_t busy_ = 0;            ///< pending work items (idle() == 0)
   std::uint64_t* quiesce_ = nullptr;  ///< machine-wide busy-cache count
+  const bool audit_ = audit_enabled();
 
   bool profile_ = false;
   std::unordered_map<Addr, PfTag> pf_tags_;  ///< unresolved prefetches

@@ -91,8 +91,8 @@ void Directory::write_line(Addr line, const std::vector<Word>& data) {
 
 void Directory::preload(Addr line, State st, ProcId proc) {
   Entry& e = entry(align(line));
+  if (st != State::kShared || e.state != State::kShared) e.sharers.clear();
   e.state = st;
-  e.sharers.clear();
   if (st == State::kShared) {
     e.sharers.add(proc);
     e.owner = kNoProc;

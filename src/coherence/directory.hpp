@@ -91,7 +91,8 @@ class Directory {
   enum class State : std::uint8_t { kUncached, kShared, kDirty };
 
   /// Experiment setup: register `proc` as sharer/owner of a line that
-  /// was preloaded into its cache (see CoherentCache::preload_line).
+  /// was preloaded into its cache (see CoherentCache::preload_line). A
+  /// shared preload of a line already shared adds `proc` as a sharer.
   void preload(Addr line, State st, ProcId proc);
 
   // --- introspection for protocol tests ------------------------------
@@ -168,7 +169,7 @@ class Directory {
 /// (home = home_bank_of_line). All of Machine's directory
 /// interaction goes through this; per-line queries route to the home
 /// bank. The sharing ledger is shared by every bank (one machine-wide
-/// contended-lines table and one MCSIM_FF_AUDIT fingerprint); per-bank
+/// contended-lines table and one MCSIM_AUDIT fingerprint); per-bank
 /// attribution comes from each bank's own StatSet ("dir" at one bank,
 /// "dir<b>" otherwise) and from the home-bank column the group adds to
 /// ledger emissions.

@@ -1,6 +1,8 @@
 #include "common/config.hpp"
 
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 namespace mcsim {
 
@@ -121,6 +123,20 @@ std::string SystemConfig::validate() const {
   if (!per_core.empty() && per_core.size() != num_procs)
     err << "per_core must be empty or have exactly num_procs entries; ";
   return err.str();
+}
+
+bool audit_enabled() {
+  // A throwing initializer leaves the static uninitialized, so a bad
+  // value fails every call, not just the first.
+  static const bool on = [] {
+    const char* env = std::getenv("MCSIM_AUDIT");
+    const std::string v = env != nullptr ? env : "";
+    if (v.empty() || v == "0") return false;
+    if (v == "1") return true;
+    throw std::invalid_argument("MCSIM_AUDIT=" + v +
+                                ": expected 1 (audit on), or 0, empty or unset (off)");
+  }();
+  return on;
 }
 
 }  // namespace mcsim

@@ -167,7 +167,7 @@ struct SystemConfig {
   /// later with the one stall cause the naive loop would have charged
   /// each of them. Cycle-identical to stepping one cycle at
   /// a time (pinned by tests/integration/fastforward_equivalence_test
-  /// and the Debug MCSIM_FF_AUDIT lockstep audit); disable to force
+  /// and the MCSIM_AUDIT lockstep audit); disable to force
   /// the naive loop (--no-fastforward).
   bool fastforward = true;
 
@@ -207,5 +207,10 @@ struct SystemConfig {
   /// returns an error description or empty string when valid.
   std::string validate() const;
 };
+
+/// The lockstep-audit switch (docs/INTERNALS.md §2), read once from the
+/// MCSIM_AUDIT environment variable: "1" is on; unset, empty or "0" is
+/// off; any other value throws std::invalid_argument on every call.
+bool audit_enabled();
 
 }  // namespace mcsim

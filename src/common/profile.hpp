@@ -17,7 +17,7 @@
 // tests/property/profile_property_test.cpp across models, topologies,
 // and fast-forward on/off. Counters live in the owning component's
 // StatSet (cache / LSU / directory) under the ids below, so they flow
-// through stats_report() — and therefore through the MCSIM_FF_AUDIT
+// through stats_report() — and therefore through the MCSIM_AUDIT
 // fingerprint — for free. The per-line sharing ledger is the one piece
 // of profiler state outside a StatSet; SharingLedger::fingerprint()
 // feeds the audit instead.
@@ -139,7 +139,7 @@ class SharingLedger {
   /// The same table as a JSON array (post-mortems, bench reports).
   Json top_json(std::size_t n) const;
 
-  /// Deterministic full dump for the MCSIM_FF_AUDIT fingerprint.
+  /// Deterministic full dump for the MCSIM_AUDIT fingerprint.
   std::string fingerprint() const;
 
   std::size_t lines_tracked() const { return lines_.size(); }

@@ -239,7 +239,7 @@ class LoadStoreUnit {
   /// Mark an in-tick state mutation (see progressed()). Every site
   /// that changes persistent LSU state during the core's tick must
   /// call this; missing one breaks the fast-forward quiescence proof
-  /// (caught by the MCSIM_FF_AUDIT lockstep and the equivalence tests).
+  /// (caught by the MCSIM_AUDIT lockstep and the equivalence tests).
   void note_progress() { progress_ = true; }
   /// This core's trace-event track.
   std::uint16_t track() const { return static_cast<std::uint16_t>(id_); }

@@ -332,18 +332,16 @@ std::uint64_t Network::debug_scan_undelivered() const {
 }
 
 bool Network::idle() const {
-#ifdef MCSIM_NET_AUDIT
-  assert(undelivered_ == debug_scan_undelivered());
-#endif
+  if (audit_) assert(undelivered_ == debug_scan_undelivered());
   return undelivered_ == 0;
 }
 
 Cycle Network::next_event(Cycle now) const {
-#ifdef MCSIM_NET_AUDIT
-  std::uint64_t scanned_links = 0;
-  for (const Link& l : links_) scanned_links += l.q.size();
-  assert(in_links_ == scanned_links);
-#endif
+  if (audit_) {
+    std::uint64_t scanned_links = 0;
+    for (const Link& l : links_) scanned_links += l.q.size();
+    assert(in_links_ == scanned_links);
+  }
   // Undrained inbox messages are actionable by their endpoint already.
   const std::uint64_t inboxed =
       undelivered_ - in_flight_.size() - stalled_total_ - in_fabric_;

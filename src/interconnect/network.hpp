@@ -100,8 +100,8 @@ class Network {
   Cycle deliver_next_event(Cycle now) const;
 
   /// O(1): no messages in flight or undelivered (counter updated in
-  /// send/deliver/recv; audited against the scanned truth in debug
-  /// builds and by debug_scan_undelivered()).
+  /// send/deliver/recv; checked against debug_scan_undelivered() on
+  /// every call when MCSIM_AUDIT is on).
   bool idle() const;
 
   /// Earliest future cycle at which the network has work, for the
@@ -190,6 +190,7 @@ class Network {
   std::uint64_t next_seq_ = 0;
   /// Messages inside the network or an inbox; send ++, recv --.
   std::uint64_t undelivered_ = 0;
+  const bool audit_ = audit_enabled();
 
   // --- crossbar state ------------------------------------------------
   std::priority_queue<InFlight, std::vector<InFlight>, std::greater<InFlight>> in_flight_;

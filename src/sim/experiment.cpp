@@ -79,7 +79,6 @@ CellResult run_cell(const ExperimentCell& cell) {
       const std::uint64_t line = cfg.cache.line_bytes;
       cfg.mem.mem_bytes = (wl->min_mem_bytes + line - 1) / line * line;
     }
-    if (cell.record_accesses) cfg.record_accesses = true;
     Machine m(cfg, wl->programs);
     for (const auto& [proc, addr] : wl->preload_shared) {
       m.preload_shared(proc, addr);
@@ -159,7 +158,7 @@ CellResult run_cell(const ExperimentCell& cell) {
         ps.top_line_banks.push_back(group.home_bank(e.line));
     }
 
-    if (cell.record_accesses) {
+    if (cfg.record_accesses) {
       out.access_logs = m.access_logs();
       out.final_regs.resize(cfg.num_procs);
       for (ProcId p = 0; p < cfg.num_procs; ++p) {

@@ -74,10 +74,6 @@ struct ExperimentCell {
   std::string technique;
   std::string trace_out;
   std::map<std::string, std::string> tags;
-  /// Capture per-processor architectural access logs and final register
-  /// files into the CellResult (the sva verification harness consumes
-  /// them; costs memory proportional to accesses — off for benches).
-  bool record_accesses = false;
   /// Memory words whose final values the CellResult reports (in order).
   std::vector<Addr> watch;
   /// Per-cell child RNG seed, derived from the sweep's master seed and
@@ -122,7 +118,7 @@ struct CellResult {
   std::uint64_t trace_events = 0;   ///< timeline events recorded for this cell
   Json post_mortem;                 ///< machine snapshot; non-null only on deadlock
   // Architectural observation of the run, populated only when the cell
-  // asked for it (record_accesses / watch): what the sva checkers and
+  // asked for it (config.record_accesses / watch): what the sva checkers and
   // the differential fuzzer compare across models and techniques.
   std::vector<std::vector<AccessRecord>> access_logs;  ///< per processor
   std::vector<Word> watch_values;                      ///< cell.watch order

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
-
-#ifdef MCSIM_FF_AUDIT
-#include <iostream>
-#endif
 
 namespace mcsim {
 
@@ -84,8 +81,8 @@ Machine::Machine(const SystemConfig& cfg, std::vector<Program> programs)
 
   // Active-set scheduler hooks; both no-op until init_scheduler()
   // marks the scheduler live (so the naive loop, manual step() use,
-  // and the MCSIM_FF_AUDIT shadow machine never pay more than the
-  // is-live branch).
+  // and the audit's shadow machine never pay more than the is-live
+  // branch).
   net_.set_delivery_hook([this](EndpointId ep) { on_delivery(ep); });
   dir_.set_busy_hook([this](Addr line) { on_dir_busy_flip(line); });
 }
@@ -108,14 +105,12 @@ void Machine::step() {
 bool Machine::done() const {
   const bool fast =
       undrained_cores_ == 0 && busy_caches_ == 0 && net_.idle() && dir_.idle();
-#ifdef MCSIM_FF_AUDIT
-  // Sampled: the full scan is O(P), and done() is called once per live
-  // cycle — auditing every call made Debug P=256 runs quadratic-ish.
+  // Audit sampling: the full scan is O(P), and done() is called once
+  // per live cycle — auditing every call made P=256 runs quadratic-ish.
   // Every 1024th call keeps the counters honest; run() adds one
   // unconditional scan at the end of every run.
-  if ((done_calls_++ & 1023u) == 0)
+  if (audit_ && (done_calls_++ & 1023u) == 0)
     assert(fast == done_scan() && "O(1) done() diverged from the full scan");
-#endif
   return fast;
 }
 
@@ -317,7 +312,6 @@ void Machine::set_core_watch(ProcId p, Addr line) {
   if (line != kNoWatch) watchers_[line].push_back(p);
 }
 
-#ifdef MCSIM_FF_AUDIT
 std::string Machine::audit_fingerprint() const {
   std::ostringstream os;
   os << "cycle=" << cycle_ << '\n';
@@ -339,15 +333,14 @@ std::string Machine::audit_fingerprint() const {
   os << stats_report();
   return os.str();
 }
-#endif
 
 RunResult Machine::run() {
-#ifdef MCSIM_FF_AUDIT
-  // Lockstep audit: run a naive-loop twin from the same initial state
-  // and assert bit-identical architectural state + stats at every jump
-  // target. The twin has fastforward forced off, so it never recurses.
+  // Lockstep audit (MCSIM_AUDIT=1): run a naive-loop twin from the same
+  // initial state and assert bit-identical architectural state + stats
+  // at every jump target. The twin has fastforward forced off, so it
+  // never recurses.
   std::unique_ptr<Machine> shadow;
-  if (cfg_.fastforward) {
+  if (audit_ && cfg_.fastforward) {
     SystemConfig shadow_cfg = cfg_;
     shadow_cfg.fastforward = false;
     shadow = std::make_unique<Machine>(shadow_cfg, programs_);
@@ -365,14 +358,13 @@ RunResult Machine::run() {
     const std::string mine = audit_fingerprint();
     const std::string ref = shadow->audit_fingerprint();
     if (mine != ref) {
-      std::cerr << "MCSIM_FF_AUDIT divergence at cycle " << cycle_
+      std::cerr << "MCSIM_AUDIT divergence at cycle " << cycle_
                 << "\n--- fast-forward ---\n"
                 << mine << "--- naive ---\n"
                 << ref;
       assert(false && "fast-forward diverged from the naive loop");
     }
   };
-#endif
   if (cfg_.fastforward) {
     // Active-set loop: the heap top is the O(1) answer to "earliest
     // cycle anything can act" — a jump past quiescent cycles costs
@@ -384,10 +376,10 @@ RunResult Machine::run() {
       const Cycle ne = sched_.next_cycle();
       if (ne > cycle_) {
         cycle_ = ne < cfg_.max_cycles ? ne : cfg_.max_cycles;
-#ifdef MCSIM_FF_AUDIT
-        flush_all_core_charges();
-        audit_check();
-#endif
+        if (shadow != nullptr) {
+          flush_all_core_charges();
+          audit_check();
+        }
       } else {
         step_active();
       }
@@ -397,10 +389,10 @@ RunResult Machine::run() {
   } else {
     while (!done() && cycle_ < cfg_.max_cycles) step();
   }
-#ifdef MCSIM_FF_AUDIT
-  audit_check();
-  assert(done() == done_scan() && "O(1) done() diverged at end of run");
-#endif
+  if (audit_) {
+    audit_check();
+    assert(done() == done_scan() && "O(1) done() diverged at end of run");
+  }
   RunResult r;
   r.deadlocked = !done();
   r.drain_cycle = drain_cycle_;

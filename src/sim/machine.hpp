@@ -53,7 +53,7 @@ class Machine {
   /// only components armed for the current cycle and jumps over cycles
   /// where none is; the result is cycle-identical to the naive
   /// per-cycle loop (pinned by tests/integration/fastforward_equivalence
-  /// and, in Debug builds, the MCSIM_FF_AUDIT lockstep shadow machine).
+  /// and, with MCSIM_AUDIT=1, checked by a lockstep shadow machine).
   RunResult run();
 
   /// Advance a single cycle (benches and the Figure-5 trace use this).
@@ -71,8 +71,8 @@ class Machine {
 
   Cycle now() const { return cycle_; }
   /// O(1): undrained-core and busy-cache counters plus the network's
-  /// and directory's own O(1) idle checks. Audited against the full
-  /// scan under MCSIM_FF_AUDIT.
+  /// and directory's own O(1) idle checks. Checked against the full
+  /// scan on every 1024th call when MCSIM_AUDIT is on.
   bool done() const;
 
   Core& core(ProcId p) { return *cores_.at(p); }
@@ -110,8 +110,8 @@ class Machine {
   std::vector<std::vector<AccessRecord>> access_logs() const;
 
  private:
-  /// Replayed preload_* call, so the MCSIM_FF_AUDIT shadow machine can
-  /// be constructed into the same initial state.
+  /// Replayed preload_* call, so the audit's shadow machine can be
+  /// constructed into the same initial state.
   struct PreloadRecord {
     bool shared = false;
     ProcId proc = 0;
@@ -158,9 +158,8 @@ class Machine {
 
   /// Ground truth behind done()'s counters (audit + cold paths).
   bool done_scan() const;
-#ifdef MCSIM_FF_AUDIT
+  /// Architectural state plus stats_report(): what the audit compares.
   std::string audit_fingerprint() const;
-#endif
 
   SystemConfig cfg_;
   TraceEventSink events_;
@@ -195,10 +194,8 @@ class Machine {
   /// clears it, so a stale probe from a flush is never reused).
   std::vector<Addr> classifier_addr_;
   std::vector<bool> classifier_probe_valid_;
-  /// done()-audit sampling counter. Unconditional on purpose: the
-  /// MCSIM_FF_AUDIT macro is private to the sim target, so a member
-  /// behind it would give this header two different layouts.
-  mutable std::uint64_t done_calls_ = 0;
+  const bool audit_ = audit_enabled();
+  mutable std::uint64_t done_calls_ = 0;  ///< done()-audit sampling counter
 };
 
 }  // namespace mcsim

@@ -187,7 +187,9 @@ std::string options_help() {
       "                           binary .mctb; repeatable, one cell per file)\n"
       "  --trace-dir=DIR          run every *.mct / *.mctb trace under DIR\n"
       "environment:\n"
-      "  MCSIM_JOBS=N             worker threads for experiment sweeps\n";
+      "  MCSIM_JOBS=N             worker threads for experiment sweeps\n"
+      "  MCSIM_AUDIT=1            lockstep-audit every run against the naive\n"
+      "                           loop (0, empty or unset: off)\n";
 }
 
 }  // namespace mcsim

@@ -170,7 +170,7 @@ CellCheck verify_litmus_cell(const LitmusProgram& lp, const FuzzCell& cell,
   ec.workload = litmus_workload(lp);
   ec.config = config_for(lp, cell);
   ec.technique = cell.tech.label();
-  ec.record_accesses = true;
+  ec.config.record_accesses = true;
   ec.watch = lp.addrs;
   ec.seed = lp.seed;
   return check_cell_result(lp, cell, run_cell(ec), sc);
@@ -281,7 +281,7 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
     for (const FuzzCell& c : cells) {
       std::size_t idx = grid.add(litmus_workload(lp), config_for(lp, c), c.tech.label());
       ExperimentCell& ec = grid.cell(idx);
-      ec.record_accesses = true;
+      ec.config.record_accesses = true;
       ec.watch = lp.addrs;
       ec.seed = child;
     }

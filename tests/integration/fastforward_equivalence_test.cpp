@@ -239,7 +239,7 @@ TEST(FastForwardEquivalence, SweepIsWorkerCountInvariant) {
 // ---- trace-frontend campaigns -----------------------------------------
 
 // 10^5 trace ops in Release; the Debug slice (which also runs under
-// MCSIM_FF_AUDIT's lockstep shadow machine in CI) keeps the same shape
+// the MCSIM_AUDIT lockstep shadow machine in CI) keeps the same shape
 // at a size the audited naive loop can afford.
 #ifdef NDEBUG
 constexpr std::uint64_t kCampaignOps = 100'000;

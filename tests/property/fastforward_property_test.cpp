@@ -131,10 +131,10 @@ TEST(FastForwardProperty, RunnerSweepMatchesNaiveAtAnyWorkerCount) {
     SystemConfig naive_cfg = cfg;
     naive_cfg.fastforward = false;
     std::size_t i = ff_grid.add(w, cfg);
-    ff_grid.cell(i).record_accesses = true;
+    ff_grid.cell(i).config.record_accesses = true;
     ff_grid.cell(i).watch = lp.addrs;
     i = naive_grid.add(w, naive_cfg);
-    naive_grid.cell(i).record_accesses = true;
+    naive_grid.cell(i).config.record_accesses = true;
     naive_grid.cell(i).watch = lp.addrs;
   }
   const std::vector<CellResult> ff1 = ExperimentRunner(1).run(ff_grid);

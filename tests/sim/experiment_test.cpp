@@ -58,7 +58,7 @@ TEST(ExperimentRunner, ObservationAndChildSeedsAreWorkerCountInvariant) {
     ExperimentGrid grid = small_grid();
     for (std::size_t i = 0; i < grid.size(); ++i) {
       ExperimentCell& c = grid.cell(i);
-      c.record_accesses = true;
+      c.config.record_accesses = true;
       c.watch = {c.workload.expected.empty() ? Addr{0}
                                              : c.workload.expected[0].first};
       c.seed = derive_child_seed(master, i);

@@ -69,6 +69,32 @@ TEST(MachineApi, PreloadSharedMakesLoadsHit) {
   EXPECT_EQ(m.cache(0).stats().get("load_hit"), 1u);
 }
 
+TEST(MachineApi, SharedPreloadsOfOneLineKeepEverySharer) {
+  // Both caches preload 0x1080 (value 9) shared; P1's store of 0 must
+  // invalidate P0's copy before it performs, so P0's load, which
+  // performs after that store, reads 0. The smallest fuzz reproducer
+  // of seed 1 (SC with prefetch): with the sharer set cleared on each
+  // preload, P1's upgrade skipped the invalidation and P0 read 9.
+  ProgramBuilder p0;
+  p0.data(0x1080, 9);
+  p0.li(1, 1);
+  p0.store(1, ProgramBuilder::abs(0x1040));
+  p0.load(2, ProgramBuilder::abs(0x1080));
+  p0.halt();
+  ProgramBuilder p1;
+  p1.store(0, ProgramBuilder::abs(0x1080));  // r0 is hardwired to 0
+  p1.halt();
+  SystemConfig cfg = SystemConfig::paper_default(2, ConsistencyModel::kSC);
+  cfg.core.prefetch = PrefetchMode::kNonBinding;
+  Machine m(cfg, {p0.build(), p1.build()});
+  m.preload_shared(0, 0x1080);
+  m.preload_shared(1, 0x1080);
+  EXPECT_EQ(m.directory().sharers(0x1080), 0b11u);
+  RunResult r = m.run();
+  ASSERT_FALSE(r.deadlocked);
+  EXPECT_EQ(m.core(0).reg(2), 0u);
+}
+
 TEST(MachineApi, PreloadExclusiveMakesStoresHit) {
   SystemConfig cfg = SystemConfig::paper_default(1, ConsistencyModel::kSC);
   Machine m(cfg, {trivial()});

@@ -116,6 +116,7 @@ TEST(Options, HelpDocumentsTraceAndEnvironment) {
   std::string help = options_help();
   EXPECT_NE(help.find("--trace-out"), std::string::npos);
   EXPECT_NE(help.find("MCSIM_JOBS"), std::string::npos);
+  EXPECT_NE(help.find("MCSIM_AUDIT=1"), std::string::npos);
 }
 
 TEST(Options, DirectorySchemeAndBankingFlags) {

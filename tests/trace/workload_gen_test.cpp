@@ -90,7 +90,7 @@ TEST(WorkloadGen, ProducerConsumerHandoffIsFifoUnderScReplay) {
   ExperimentCell cell;
   cell.workload = trace_to_workload(t);
   cell.config = SystemConfig::paper_default(2, ConsistencyModel::kSC);
-  cell.record_accesses = true;
+  cell.config.record_accesses = true;
   CellResult r = run_cell(cell);
   ASSERT_EQ(r.status, CellStatus::kOk) << r.error;
   ASSERT_EQ(r.access_logs.size(), 2u);
