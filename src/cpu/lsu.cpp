@@ -92,7 +92,7 @@ void LoadStoreUnit::dispatch(std::uint64_t seq, std::size_t pc, const Instructio
   RsEntry e;
   e.seq = seq;
   e.pc = pc;
-  e.inst = inst;
+  e.inst = &inst;
   e.base = base;
   e.index = index;
   e.data = data;
@@ -162,7 +162,7 @@ const LoadStoreUnit::StoreEntry* LoadStoreUnit::find_store(std::uint64_t seq) co
 void LoadStoreUnit::tick_addr_unit(Cycle now) {
   if (ls_rs_.empty()) return;
   RsEntry& head = ls_rs_.front();
-  const Instruction& inst = head.inst;
+  const Instruction& inst = *head.inst;
 
   if (inst.is_fence()) {
     // Full fence: completes only when every earlier access has
@@ -218,7 +218,7 @@ void LoadStoreUnit::tick_addr_unit(Cycle now) {
   StoreEntry s;
   s.seq = head.seq;
   s.pc = head.pc;
-  s.inst = inst;
+  s.inst = head.inst;
   s.addr = ea;
   s.data = head.data;
   s.cmp = head.cmp;
@@ -415,7 +415,7 @@ void LoadStoreUnit::issue_store(StoreEntry& st, Cycle now) {
   req.token = next_token_;
   if (st.is_rmw) {
     req.op = CacheOp::kRmw;
-    req.rmw_op = st.inst.rmw;
+    req.rmw_op = st.inst->rmw;
     req.rmw_cmp = st.cmp.value;
     req.rmw_src = st.data.value;
   } else {
@@ -692,7 +692,8 @@ void LoadStoreUnit::retire_spec_entries(Cycle now) {
     }
     return true;
   };
-  std::vector<std::uint64_t> retired = spec_buffer_.retire_ready(may_retire);
+  std::vector<std::uint64_t>& retired = spec_retired_;
+  spec_buffer_.retire_ready(retired, may_retire);
   if (retired.empty()) return;
   note_progress();
   stats_.add(stat::spec_retired, retired.size());
@@ -799,7 +800,7 @@ StallCause LoadStoreUnit::classify_mem_wait(Addr addr) const {
 StallCause LoadStoreUnit::classify_rs_block(std::uint64_t seq) const {
   if (ls_rs_.empty() || ls_rs_.front().seq != seq) return StallCause::kExec;
   const RsEntry& head = ls_rs_.front();
-  if (head.inst.is_fence()) return StallCause::kConsistency;
+  if (head.inst->is_fence()) return StallCause::kConsistency;
   if (!head.addr_operands_ready()) return StallCause::kAddrGen;
   // Address ready but the entry has not left the reservation station:
   // the downstream structure (load queue / store buffer / software

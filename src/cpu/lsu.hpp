@@ -65,11 +65,13 @@ class LoadStoreUnit {
   bool can_dispatch() const { return ls_rs_.size() < cfg_.core.ls_rs_entries; }
 
   /// Decode handed us a memory instruction (load/store/RMW/fence/
-  /// software prefetch) with renamed operands.
+  /// software prefetch) with renamed operands. `inst` must outlive the
+  /// access: it points into the core's Program.
   void dispatch(std::uint64_t seq, std::size_t pc, const Instruction& inst, Operand base,
                 Operand index, Operand data, Operand cmp);
 
-  /// A producer completed; wake any operands waiting on it.
+  /// A producer completed; wake any operands waiting on it. The core
+  /// calls this only for producers an LSU operand was tagged on.
   void on_producer_ready(std::uint64_t producer_seq, Word value);
 
   /// The reorder buffer reached this store/RMW at its head (precise
@@ -169,7 +171,7 @@ class LoadStoreUnit {
   struct RsEntry {  // load/store reservation station
     std::uint64_t seq = 0;
     std::size_t pc = 0;
-    Instruction inst;
+    const Instruction* inst = nullptr;
     Operand base, index, data, cmp;
     bool addr_operands_ready() const { return base.ready && index.ready; }
   };
@@ -190,7 +192,7 @@ class LoadStoreUnit {
   struct StoreEntry {
     std::uint64_t seq = 0;
     std::size_t pc = 0;
-    Instruction inst;
+    const Instruction* inst = nullptr;
     Addr addr = 0;
     Operand data, cmp;  ///< store value / RMW src, RMW compare
     SyncKind sync = SyncKind::kNone;
@@ -262,6 +264,8 @@ class LoadStoreUnit {
   bool demand_issued_this_cycle_ = false;
   bool progress_ = true;  ///< state mutated this tick (starts armed)
   std::vector<AccessRecord> records_;
+  /// Scratch for retire_spec_entries(): seqs retired this tick.
+  std::vector<std::uint64_t> spec_retired_;
 
   StatSet stats_;
 };

@@ -16,36 +16,55 @@ SpecLoadBuffer::Entry entry(std::uint64_t seq, Addr line, bool acq,
   return e;
 }
 
+using Seqs = std::vector<std::uint64_t>;
+
+/// Retire with no outside veto; returns the seqs retired.
+Seqs retire(SpecLoadBuffer& b) {
+  Seqs out;
+  b.retire_ready(out, [](const SpecLoadBuffer::Entry&) { return true; });
+  return out;
+}
+
 TEST(SpecLoadBuffer, HeadRetiresWhenDoneAndTagNull) {
   SpecLoadBuffer b(4);
   b.insert(entry(1, 0x100, /*acq=*/true));
-  EXPECT_EQ(b.retire_ready().size(), 0u);  // acq and not done
+  EXPECT_EQ(retire(b), Seqs{});  // acq and not done
   b.mark_done(1, 42);
-  EXPECT_EQ(b.retire_ready().size(), 1u);
+  EXPECT_EQ(retire(b), Seqs{1});
   EXPECT_TRUE(b.empty());
 }
 
 TEST(SpecLoadBuffer, NonAcquireRetiresWithoutCompleting) {
   SpecLoadBuffer b(4);
   b.insert(entry(1, 0x100, /*acq=*/false));
-  EXPECT_EQ(b.retire_ready().size(), 1u);
+  EXPECT_EQ(retire(b), Seqs{1});
 }
 
 TEST(SpecLoadBuffer, StoreTagBlocksRetirementUntilNullified) {
   SpecLoadBuffer b(4);
   b.insert(entry(1, 0x100, /*acq=*/false, /*tag=*/7));
-  EXPECT_EQ(b.retire_ready().size(), 0u);
+  EXPECT_EQ(retire(b), Seqs{});
   b.nullify_store_tag(7);
-  EXPECT_EQ(b.retire_ready().size(), 1u);
+  EXPECT_EQ(retire(b), Seqs{1});
 }
 
 TEST(SpecLoadBuffer, FifoRetirementBlocksYoungerBehindOlder) {
   SpecLoadBuffer b(4);
   b.insert(entry(1, 0x100, /*acq=*/true));   // pending acquire
   b.insert(entry(2, 0x200, /*acq=*/false));  // ready, but behind
-  EXPECT_EQ(b.retire_ready().size(), 0u);
+  EXPECT_EQ(retire(b), Seqs{});
   b.mark_done(1, 0);
-  EXPECT_EQ(b.retire_ready().size(), 2u);
+  EXPECT_EQ(retire(b), (Seqs{1, 2}));
+}
+
+TEST(SpecLoadBuffer, VetoStopsRetirementAtTheHead) {
+  SpecLoadBuffer b(4);
+  b.insert(entry(1, 0x100, /*acq=*/false));
+  b.insert(entry(2, 0x200, /*acq=*/false));
+  Seqs out{99};  // stale contents are replaced
+  b.retire_ready(out, [](const SpecLoadBuffer::Entry& e) { return e.seq != 2; });
+  EXPECT_EQ(out, Seqs{1});
+  EXPECT_EQ(retire(b), Seqs{2});
 }
 
 TEST(SpecLoadBuffer, MatchOnDoneEntryRequestsSquash) {
@@ -116,9 +135,9 @@ TEST(SpecLoadBuffer, MarkReissuedClearsDone) {
   b.insert(entry(1, 0x100, true));
   b.mark_done(1, 7);
   b.mark_reissued(1);
-  EXPECT_EQ(b.retire_ready().size(), 0u);  // done cleared again
+  EXPECT_EQ(retire(b), Seqs{});  // done cleared again
   b.mark_done(1, 8);
-  EXPECT_EQ(b.retire_ready().size(), 1u);
+  EXPECT_EQ(retire(b), Seqs{1});
 }
 
 TEST(SpecLoadBuffer, DumpShowsPaperFields) {
