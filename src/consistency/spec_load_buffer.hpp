@@ -69,7 +69,7 @@ class SpecLoadBuffer {
   /// serialization point. `may_retire(entry)` lets the owner veto a
   /// head entry whose delay condition lives outside the buffer — e.g. a
   /// WC sync load waiting on earlier plain accesses that hold no FIFO
-  /// slot open.
+  /// slot open. It is the last check: every head it accepts retires.
   template <typename MayRetire>
   void retire_ready(std::vector<std::uint64_t>& retired, MayRetire&& may_retire) {
     retired.clear();

@@ -135,5 +135,42 @@ TEST(Corpus, LockHandoffTasAtomicity) {
                });
 }
 
+// Shrunk reproducers the bounded fuzz slices wrote while
+// LoadStoreUnit::retire_spec_entries restamped every retired load to
+// its retirement cycle. Each has an RMW and a later load whose
+// speculative-load buffer entry was nonspec: detection skipped it, an
+// invalidation made its value stale before it retired, and the
+// restamp made the checker judge that value at the later cycle
+// (`[read-value]`). Each replays under the topology and directory its
+// slice ran with.
+struct FuzzRepro {
+  const char* file;
+  Topology topology;
+  DirScheme dir_scheme;
+  std::uint32_t dir_banks;
+};
+const FuzzRepro kFuzzRepros[] = {
+    {"repro-3081251696030599739-WC-both.litmus", Topology::kCrossbar, DirScheme::kFullMap, 1},
+    {"repro-16424035508066313022-RC-both.litmus", Topology::kCrossbar, DirScheme::kFullMap, 1},
+    {"repro-1895586305013882831-RC-sp.litmus", Topology::kCrossbar, DirScheme::kFullMap, 1},
+    {"repro-6353848000608806813-RC-both.litmus", Topology::kMesh2D, DirScheme::kFullMap, 1},
+    {"repro-578909546379690882-WC-sp.litmus", Topology::kCrossbar, DirScheme::kCoarseVector,
+     2},
+};
+
+TEST(Corpus, FuzzReproducersOfNonspecRestampPass) {
+  for (const FuzzRepro& fr : kFuzzRepros) {
+    Reproducer r = corpus(std::string("fuzz/") + fr.file);
+    FuzzCell cell;
+    cell.model = r.model;
+    cell.tech = {r.prefetch, r.speculative_loads};
+    cell.topology = fr.topology;
+    cell.dir_scheme = fr.dir_scheme;
+    cell.dir_banks = fr.dir_banks;
+    CellCheck c = verify_litmus_cell(r.litmus, cell, nullptr);
+    EXPECT_FALSE(c.failed) << fr.file << " " << cell.label() << ": " << c.detail;
+  }
+}
+
 }  // namespace
 }  // namespace mcsim
