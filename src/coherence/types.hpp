@@ -53,6 +53,8 @@ enum class CacheOp : std::uint8_t {
 
 const char* to_string(CacheOp op);
 
+/// One demand access or prefetch. The cache keeps the request itself
+/// while it waits: as an MSHR waiter, or as an update-protocol word op.
 struct CacheRequest {
   CacheOp op = CacheOp::kLoad;
   Addr addr = 0;            ///< word-aligned
@@ -67,7 +69,6 @@ struct CacheResponse {
   std::uint64_t token = 0;
   Word value = 0;       ///< load result / RMW old value
   Cycle ready_at = 0;   ///< completion ("performed") cycle
-  bool was_hit = false;
 };
 
 /// Outcome of presenting a request to the cache this cycle.
