@@ -7,11 +7,12 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "sim/experiment.hpp"
 #include "sim/machine.hpp"
+#include "sim/options.hpp"
 #include "sim/workloads.hpp"
 
 namespace mcsim {
@@ -65,49 +66,30 @@ inline Workload make_adhoc_workload(std::string name, std::vector<Program> progr
   return w;
 }
 
-/// Shared directory-organisation flags (--dir-scheme= / --dir-ptrs= /
-/// --dir-cluster= / --dir-banks=): returns true when `arg` is one of
-/// them (value applied to `mem`); a malformed value sets `err`.
-inline bool parse_dir_flag(const std::string& arg, MemConfig& mem, std::string& err) {
-  auto u32 = [](const std::string& v, std::uint32_t& out) {
-    char* end = nullptr;
-    unsigned long x = std::strtoul(v.c_str(), &end, 0);
-    if (v.empty() || end == nullptr || *end != '\0') return false;
-    out = static_cast<std::uint32_t>(x);
-    return true;
-  };
-  if (arg.rfind("--dir-scheme=", 0) == 0) {
-    const std::string v = arg.substr(13);
-    if (v == "fullmap") mem.dir_scheme = DirScheme::kFullMap;
-    else if (v == "limptr") mem.dir_scheme = DirScheme::kLimitedPtr;
-    else if (v == "coarse") mem.dir_scheme = DirScheme::kCoarseVector;
-    else err = "unknown dir scheme: " + v + " (fullmap|limptr|coarse)";
-    return true;
-  }
-  if (arg.rfind("--dir-ptrs=", 0) == 0) {
-    if (!u32(arg.substr(11), mem.dir_pointers)) err = "bad --dir-ptrs";
-    return true;
-  }
-  if (arg.rfind("--dir-cluster=", 0) == 0) {
-    if (!u32(arg.substr(14), mem.dir_cluster)) err = "bad --dir-cluster";
-    return true;
-  }
-  if (arg.rfind("--dir-banks=", 0) == 0) {
-    if (!u32(arg.substr(12), mem.dir_banks)) err = "bad --dir-banks";
-    return true;
-  }
-  return false;
+/// Usage text for the memory-system flags apply_mem_flag parses.
+inline constexpr char kMemFlagsUsage[] =
+    "[--protocol= --topology= --link-bw= --link-queue=\n"
+    "        --dir-scheme= --dir-ptrs= --dir-cluster= --dir-banks=]";
+
+/// When `arg` is `NAME=VALUE` (`name` ends in '='), store VALUE in
+/// `out` and return true.
+inline bool str_flag(const std::string& arg, const std::string& name, std::string& out) {
+  if (arg.rfind(name, 0) != 0) return false;
+  out = arg.substr(name.size());
+  return true;
 }
 
-/// Extract --trace-out=PATH from a bench's argv. Benches build their
-/// own configs, so they take just this flag rather than parse_options.
-inline std::string trace_out_from_args(int argc, const char* const* argv) {
-  std::string out;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--trace-out=", 0) == 0) out = a.substr(12);
-  }
-  return out;
+/// A numeric `NAME=N` flag, parsed strictly (parse_u64, then checked
+/// against T's range). Returns false when `arg` is another flag; a
+/// malformed N sets `err`, naming the flag, and leaves `out` alone.
+template <typename T>
+bool num_flag(const std::string& arg, const std::string& name, T& out, std::string& err) {
+  std::string v;
+  if (!str_flag(arg, name, v)) return false;
+  std::uint64_t n = 0;
+  if (parse_u64(v, n) && n <= std::numeric_limits<T>::max()) out = static_cast<T>(n);
+  else err = "bad " + arg + ": expected an unsigned integer";
+  return true;
 }
 
 /// Point every cell of a grid at a trace file: PATH for a single-cell

@@ -10,15 +10,16 @@
 // benefit survive when latency is hop-count + queuing instead of a
 // constant?
 //
-//   contention_sweep [--smoke] [--procs=N] [--dir-scheme=...] [--dir-banks=N]
-//                    [--trace-out=PATH]
+//   contention_sweep [--smoke] [--procs=N] [--trace-out=PATH]
+//                    [--protocol= --link-bw= --link-queue= --dir-scheme=
+//                     --dir-ptrs= --dir-cluster= --dir-banks=]
 //
 // --smoke shrinks the workload and grid for the CTest wiring; --procs
 // (even, >= 2) scales the producer/consumer machine for the P=64..256
-// campaign, and the directory flags apply to every cell. The JSON
+// campaign, and the memory-system flags apply to every cell. The sweep
+// varies the topology itself, so it rejects --topology. The JSON
 // report (BENCH_contention_sweep.json) is mcsim-bench-v7 either way.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -37,17 +38,14 @@ const Tech kTechs[] = {{false, "baseline"}, {true, "+both"}};
 const Topology kTopologies[] = {Topology::kCrossbar, Topology::kRing,
                                 Topology::kMesh2D};
 
-MemConfig g_mem;  // --dir-scheme/--dir-banks/... applied to every cell
+MemConfig g_mem;  // memory-system flags, applied to every cell
 
 SystemConfig cell_config(ConsistencyModel m, bool both, Topology topo,
                          std::uint32_t miss) {
   SystemConfig cfg = tech_config(m, both, both);
+  cfg.mem = g_mem;
+  cfg.mem.topology = topo;
   cfg.with_clean_miss_latency(miss);
-  cfg.mem.topology = topo;  // link_bw=1, link_queue=8 defaults
-  cfg.mem.dir_scheme = g_mem.dir_scheme;
-  cfg.mem.dir_pointers = g_mem.dir_pointers;
-  cfg.mem.dir_cluster = g_mem.dir_cluster;
-  cfg.mem.dir_banks = g_mem.dir_banks;
   return cfg;
 }
 
@@ -58,22 +56,27 @@ unsigned long long ull(std::uint64_t v) { return static_cast<unsigned long long>
 int main(int argc, char** argv) {
   bool smoke = false;
   std::uint32_t procs = 0;  // 0 = mode default
-  std::string flag_err;
+  std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string err;
     if (arg == "--smoke") smoke = true;
-    else if (arg.rfind("--procs=", 0) == 0)
-      procs = static_cast<std::uint32_t>(std::strtoul(argv[i] + 8, nullptr, 0));
-    else if (parse_dir_flag(arg, g_mem, flag_err) && !flag_err.empty()) {
-      std::fprintf(stderr, "contention_sweep: %s\n", flag_err.c_str());
+    else if (arg.rfind("--topology=", 0) == 0)
+      err = arg + " rejected: the sweep runs every topology";
+    else if (!(num_flag(arg, "--procs=", procs, err) ||
+               str_flag(arg, "--trace-out=", trace_out) || apply_mem_flag(arg, g_mem, err)))
+      err = "unknown flag: " + arg;
+    if (err.empty() && procs != 0 && (procs < 2 || procs % 2 != 0))
+      err = "--procs must be even and >= 2";
+    if (!err.empty()) {
+      std::fprintf(stderr,
+                   "contention_sweep: %s\n"
+                   "usage: contention_sweep [--smoke] [--procs=N] [--trace-out=PATH]\n"
+                   "       %s (all but --topology)\n",
+                   err.c_str(), kMemFlagsUsage);
       return 1;
     }
   }
-  if (procs != 0 && (procs < 2 || procs % 2 != 0)) {
-    std::fprintf(stderr, "contention_sweep: --procs must be even and >= 2\n");
-    return 1;
-  }
-  const std::string trace_out = trace_out_from_args(argc, argv);
 
   const std::uint32_t nprocs = procs != 0 ? procs : (smoke ? 4u : 8u);
   const std::uint32_t items = smoke ? 4 : (nprocs > 8 ? 6u : 12u);
@@ -88,7 +91,8 @@ int main(int argc, char** argv) {
 
   std::printf("Contention sweep: %u-processor producer/consumer, %u items/pair\n",
               nprocs, items);
-  std::printf("link_bw=1 msg/cycle, link_queue=8 (ring/mesh)\n\n");
+  std::printf("link_bw=%u msg/cycle, link_queue=%u (ring/mesh)\n\n", g_mem.link_bw,
+              g_mem.link_queue);
 
   ExperimentGrid grid("contention_sweep");
 

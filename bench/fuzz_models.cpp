@@ -12,34 +12,22 @@
 // With --fault the corresponding test-only weakening is injected into
 // consistency/policy enforcement; the run then succeeds (exit 0) only
 // if the fuzzer catches it — the harness's own end-to-end self-test.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
 
+#include "bench_util.hpp"
 #include "common/json.hpp"
 #include "consistency/policy.hpp"
 #include "sva/fuzz_harness.hpp"
 
 using namespace mcsim;
+using namespace mcsim::bench;
 using namespace mcsim::sva;
 
 namespace {
-
-bool parse_u64(const char* arg, const char* name, std::uint64_t* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = std::strtoull(arg + n + 1, nullptr, 0);
-  return true;
-}
-
-bool parse_str(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *out = arg + n + 1;
-  return true;
-}
 
 void usage() {
   std::printf(
@@ -51,13 +39,11 @@ void usage() {
       "  --insts=N        max memory instructions per thread (default 6)\n"
       "  --sync=PCT       acquire/release density percent (default 20)\n"
       "  --rmw=PCT        RMW density percent (default 15)\n"
-      "  --topology=T     interconnect for every cell: crossbar|ring|mesh2d\n"
-      "                   (default crossbar; ring/mesh add link contention\n"
-      "                   as a timing adversary for the same checkers)\n"
-      "  --link-bw=N      ring/mesh per-link bandwidth (default 1)\n"
-      "  --dir-scheme=S   directory sharer encoding for every cell:\n"
-      "                   fullmap|limptr|coarse (default fullmap)\n"
-      "  --dir-banks=N    directory banks for every cell (default 1)\n"
+      "  %s\n"
+      "                   memory system for every cell, as for run_asm\n"
+      "                   (default: crossbar, full-map, one bank; a ring/mesh\n"
+      "                   or an inexact, banked directory is a timing\n"
+      "                   adversary for the same checkers)\n"
       "  --sc-states=N    SC enumeration state budget (default 2000000)\n"
       "  --repro-dir=DIR  write shrunk reproducers here, creating DIR if\n"
       "                   missing (default .)\n"
@@ -65,7 +51,8 @@ void usage() {
       "  --fault=F        inject a policy bug: sc-load | sc-spec-tag | rc-release\n"
       "                   (exit 0 then means the fuzzer CAUGHT the bug)\n"
       "  --json=PATH      machine-readable report (default BENCH_fuzz.json)\n"
-      "  --replay=FILE    re-run one reproducer file and re-check it\n");
+      "  --replay=FILE    re-run one reproducer file and re-check it\n",
+      kMemFlagsUsage);
 }
 
 // Re-run one reproducer file on its recorded cell and re-check it.
@@ -78,13 +65,12 @@ int replay(const std::string& path, std::uint64_t sc_max_states) {
     std::fprintf(stderr, "replay: %s\n", e.what());
     return 2;
   }
-  FuzzCell cell{r.model, {r.prefetch, r.speculative_loads}};
-  std::printf("replay %s: %s, %s\n", path.c_str(), cell.label().c_str(),
+  std::printf("replay %s: %s, %s\n", path.c_str(), r.cell.label().c_str(),
               describe(r.litmus).c_str());
   if (!r.note.empty()) std::printf("  recorded note: %s\n", r.note.c_str());
   EnumerationResult sc;
   const EnumerationResult* scp = nullptr;
-  if (r.model == ConsistencyModel::kSC) {
+  if (r.cell.model == ConsistencyModel::kSC) {
     try {
       sc = enumerate_sc_outcomes(r.litmus.programs, 1u << 20, r.litmus.addrs,
                                  sc_max_states);
@@ -92,7 +78,7 @@ int replay(const std::string& path, std::uint64_t sc_max_states) {
     } catch (const std::exception&) {
     }
   }
-  CellCheck c = verify_litmus_cell(r.litmus, cell, scp);
+  CellCheck c = verify_litmus_cell(r.litmus, r.cell, scp);
   if (c.failed) {
     std::printf("STILL FAILING [%s]: %s\n", to_string(c.kind), c.detail.c_str());
     return 1;
@@ -107,75 +93,35 @@ int replay(const std::string& path, std::uint64_t sc_max_states) {
 
 int main(int argc, char** argv) {
   FuzzConfig cfg;
-  cfg.repro_dir = ".";
+  cfg.repro_dir = std::string(".");  // not = ".": GCC 12 -Wrestrict false positive
   std::string fault = "none";
   std::string json_path = "BENCH_fuzz.json";
   std::string replay_path;
-  std::uint64_t u = 0;
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (parse_u64(a, "--programs", &cfg.programs)) continue;
-    if (parse_u64(a, "--seed", &cfg.seed)) continue;
-    if (parse_u64(a, "--workers", &u)) { cfg.workers = static_cast<unsigned>(u); continue; }
-    if (parse_u64(a, "--threads", &u)) {
-      cfg.gen.max_threads = static_cast<std::uint32_t>(u);
-      continue;
-    }
-    if (parse_u64(a, "--insts", &u)) {
-      cfg.gen.max_insts = static_cast<std::uint32_t>(u);
-      continue;
-    }
-    if (parse_u64(a, "--sync", &u)) {
-      cfg.gen.sync_pct = static_cast<std::uint32_t>(u);
-      continue;
-    }
-    if (parse_u64(a, "--rmw", &u)) {
-      cfg.gen.rmw_pct = static_cast<std::uint32_t>(u);
-      continue;
-    }
-    if (parse_u64(a, "--link-bw", &u)) {
-      cfg.link_bw = static_cast<std::uint32_t>(u);
-      continue;
-    }
-    if (parse_u64(a, "--dir-banks", &u)) {
-      cfg.dir_banks = static_cast<std::uint32_t>(u);
-      continue;
-    }
-    std::string scheme;
-    if (parse_str(a, "--dir-scheme", &scheme)) {
-      if (scheme == "fullmap") cfg.dir_scheme = DirScheme::kFullMap;
-      else if (scheme == "limptr") cfg.dir_scheme = DirScheme::kLimitedPtr;
-      else if (scheme == "coarse") cfg.dir_scheme = DirScheme::kCoarseVector;
-      else {
-        std::fprintf(stderr, "unknown --dir-scheme=%s\n", scheme.c_str());
-        return 2;
-      }
-      continue;
-    }
-    std::string topo;
-    if (parse_str(a, "--topology", &topo)) {
-      if (topo == "crossbar") cfg.topology = Topology::kCrossbar;
-      else if (topo == "ring") cfg.topology = Topology::kRing;
-      else if (topo == "mesh2d") cfg.topology = Topology::kMesh2D;
-      else {
-        std::fprintf(stderr, "unknown --topology=%s\n", topo.c_str());
-        return 2;
-      }
-      continue;
-    }
-    if (parse_u64(a, "--sc-states", &cfg.sc_max_states)) continue;
-    if (parse_str(a, "--repro-dir", &cfg.repro_dir)) continue;
-    if (parse_str(a, "--fault", &fault)) continue;
-    if (parse_str(a, "--json", &json_path)) continue;
-    if (parse_str(a, "--replay", &replay_path)) continue;
-    if (std::strcmp(a, "--no-shrink") == 0) { cfg.shrink = false; continue; }
-    if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
+    const std::string arg = argv[i];
+    std::string err;
+    if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
     }
-    std::fprintf(stderr, "unknown flag: %s\n", a);
-    usage();
-    return 2;
+    if (arg == "--no-shrink") cfg.shrink = false;
+    else if (!(num_flag(arg, "--programs=", cfg.programs, err) ||
+               num_flag(arg, "--seed=", cfg.seed, err) ||
+               num_flag(arg, "--workers=", cfg.workers, err) ||
+               num_flag(arg, "--threads=", cfg.gen.max_threads, err) ||
+               num_flag(arg, "--insts=", cfg.gen.max_insts, err) ||
+               num_flag(arg, "--sync=", cfg.gen.sync_pct, err) ||
+               num_flag(arg, "--rmw=", cfg.gen.rmw_pct, err) ||
+               num_flag(arg, "--sc-states=", cfg.sc_max_states, err) ||
+               str_flag(arg, "--repro-dir=", cfg.repro_dir) || str_flag(arg, "--fault=", fault) ||
+               str_flag(arg, "--json=", json_path) || str_flag(arg, "--replay=", replay_path) ||
+               apply_mem_flag(arg, cfg.mem, err)))
+      err = "unknown flag: " + arg;
+    if (!err.empty()) {
+      std::fprintf(stderr, "fuzz_models: %s\n", err.c_str());
+      usage();
+      return 2;
+    }
   }
 
   PolicyFault pf = PolicyFault::kNone;
@@ -200,23 +146,20 @@ int main(int argc, char** argv) {
   // Campaign table: violations per grid cell.
   std::map<std::string, std::size_t> per_cell;
   for (const FuzzViolation& v : rep.violations) ++per_cell[v.cell.label()];
-  std::printf("\n%-10s %10s %12s\n", "cell", "programs", "violations");
-  for (ConsistencyModel m :
-       {ConsistencyModel::kSC, ConsistencyModel::kPC, ConsistencyModel::kWC,
-        ConsistencyModel::kRC}) {
-    for (const TechniqueKnobs& t : cfg.techniques) {
-      FuzzCell c{m, t, cfg.topology, cfg.link_bw};
-      std::printf("%-10s %10llu %12zu\n", c.label().c_str(),
-                  static_cast<unsigned long long>(rep.programs),
-                  per_cell.count(c.label()) ? per_cell[c.label()] : 0);
-    }
+  const std::vector<FuzzCell> cells = cfg.cells();
+  int width = 10;
+  for (const FuzzCell& c : cells) width = std::max(width, static_cast<int>(c.label().size()));
+  std::printf("\n%-*s %10s %12s\n", width, "cell", "programs", "violations");
+  for (const FuzzCell& c : cells) {
+    std::printf("%-*s %10llu %12zu\n", width, c.label().c_str(),
+                static_cast<unsigned long long>(rep.programs), per_cell[c.label()]);
   }
   std::printf("\n%s\n", rep.summary().c_str());
 
   Json j = Json::object();
   j.set("bench", Json::string("fuzz"));
   j.set("fault", Json::string(fault));
-  j.set("topology", Json::string(to_string(cfg.topology)));
+  j.set("topology", Json::string(to_string(cfg.mem.topology)));
   j.set("seed", Json::number(cfg.seed));
   j.set("programs", Json::number(rep.programs));
   j.set("cells", Json::number(rep.cells));

@@ -11,12 +11,14 @@
 // line — which is also what the bench JSON's per-cell "trace" object
 // records.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 
+#include "bench_util.hpp"
 #include "trace/workload_gen.hpp"
 
 using namespace mcsim;
+using namespace mcsim::bench;
 
 namespace {
 
@@ -36,14 +38,6 @@ void usage() {
       "  --text/--binary force the encoding (default: by extension, .mctb=binary)\n");
 }
 
-bool parse_u64_arg(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 0);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -52,38 +46,30 @@ int main(int argc, char** argv) {
   int encoding = 0;  // 0 = by extension, 1 = text, 2 = binary
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto val = [&](std::size_t n) { return arg.substr(n); };
-    std::uint64_t u = 0;
+    std::string v, err;
     if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
-    } else if (arg.rfind("--kind=", 0) == 0) {
-      if (!workload_kind_from_string(val(7), spec.kind)) {
-        std::fprintf(stderr, "gen_workload: unknown kind '%s'\n", val(7).c_str());
-        return 1;
-      }
-    } else if (arg.rfind("--procs=", 0) == 0 && parse_u64_arg(argv[i] + 8, u)) {
-      spec.nprocs = static_cast<std::uint32_t>(u);
-    } else if (arg.rfind("--ops=", 0) == 0 && parse_u64_arg(argv[i] + 6, u)) {
-      spec.ops = u;
-    } else if (arg.rfind("--seed=", 0) == 0 && parse_u64_arg(argv[i] + 7, u)) {
-      spec.seed = u;
-    } else if (arg.rfind("--sharing=", 0) == 0 && parse_u64_arg(argv[i] + 10, u)) {
-      spec.sharing = static_cast<std::uint32_t>(u);
-    } else if (arg.rfind("--sync-period=", 0) == 0 && parse_u64_arg(argv[i] + 14, u)) {
-      spec.sync_period = static_cast<std::uint32_t>(u);
-    } else if (arg.rfind("--delay=", 0) == 0 && parse_u64_arg(argv[i] + 8, u)) {
-      spec.delay = static_cast<std::uint32_t>(u);
-    } else if (arg.rfind("--zipf-s=", 0) == 0) {
-      spec.zipf_s = std::strtod(argv[i] + 9, nullptr);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out = val(6);
+    } else if (str_flag(arg, "--kind=", v)) {
+      if (!workload_kind_from_string(v, spec.kind)) err = "unknown kind '" + v + "'";
+    } else if (str_flag(arg, "--zipf-s=", v)) {
+      char* end = nullptr;
+      spec.zipf_s = std::strtod(v.c_str(), &end);
+      if (v.empty() || *end != '\0') err = "bad " + arg + ": expected a number";
     } else if (arg == "--text") {
       encoding = 1;
     } else if (arg == "--binary") {
       encoding = 2;
-    } else {
-      std::fprintf(stderr, "gen_workload: unknown argument '%s'\n", argv[i]);
+    } else if (!(num_flag(arg, "--procs=", spec.nprocs, err) ||
+                 num_flag(arg, "--ops=", spec.ops, err) ||
+                 num_flag(arg, "--seed=", spec.seed, err) ||
+                 num_flag(arg, "--sharing=", spec.sharing, err) ||
+                 num_flag(arg, "--sync-period=", spec.sync_period, err) ||
+                 num_flag(arg, "--delay=", spec.delay, err) || str_flag(arg, "--out=", out))) {
+      err = "unknown argument '" + arg + "'";
+    }
+    if (!err.empty()) {
+      std::fprintf(stderr, "gen_workload: %s\n", err.c_str());
       usage();
       return 1;
     }

@@ -10,7 +10,6 @@
 // machine-readable BENCH_models.json for perf-trajectory tracking.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -85,28 +84,28 @@ void print_table(const Workload& w, const std::vector<CellResult>& results,
 
 int main(int argc, char** argv) {
   std::uint32_t procs = 4;
-  MemConfig mem;  // --dir-scheme/--dir-banks/... applied to every cell
-  std::string flag_err;
+  MemConfig mem;  // memory-system flags, applied to every cell
+  std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--procs=", 0) == 0) {
-      procs = static_cast<std::uint32_t>(std::strtoul(argv[i] + 8, nullptr, 0));
-      if (procs < 2 || procs % 2 != 0) {
-        std::fprintf(stderr,
-                     "model_comparison: --procs must be even and >= 2 "
-                     "(producer/consumer pairs)\n");
-        return 1;
-      }
-    } else if (parse_dir_flag(arg, mem, flag_err)) {
-      if (!flag_err.empty()) {
-        std::fprintf(stderr, "model_comparison: %s\n", flag_err.c_str());
-        return 1;
-      }
+    std::string err;
+    if (!(num_flag(arg, "--procs=", procs, err) || str_flag(arg, "--trace-out=", trace_out) ||
+          apply_mem_flag(arg, mem, err)))
+      err = "unknown flag: " + arg;
+    if (err.empty() && (procs < 2 || procs % 2 != 0))
+      err = "--procs must be even and >= 2 (producer/consumer pairs)";
+    if (!err.empty()) {
+      std::fprintf(stderr,
+                   "model_comparison: %s\n"
+                   "usage: model_comparison [--procs=N] [--trace-out=PATH]\n       %s\n",
+                   err.c_str(), kMemFlagsUsage);
+      return 1;
     }
   }
 
   std::printf("Model comparison study (paper §5: \"extensive simulation experiments\")\n");
   std::printf("cycles to completion; miss latency 100, hit 1; realistic 4-wide cores\n");
+  if (!mem_flags(mem).empty()) std::printf("memory system: %s\n", mem_flags(mem).c_str());
 
   // Per-processor work shrinks as the machine grows so the P=64..256
   // campaign cells stay bounded; at the historical default (P=4) the
@@ -127,16 +126,13 @@ int main(int argc, char** argv) {
     for (const TechCombo& t : kCombos) {
       for (ConsistencyModel m : kModels) {
         SystemConfig cfg = tech_config(m, t.prefetch, t.spec);
-        cfg.mem.dir_scheme = mem.dir_scheme;
-        cfg.mem.dir_pointers = mem.dir_pointers;
-        cfg.mem.dir_cluster = mem.dir_cluster;
-        cfg.mem.dir_banks = mem.dir_banks;
+        cfg.mem = mem;
         grid.add(w, std::move(cfg), t.name);
       }
     }
   }
 
-  apply_trace_out(grid, trace_out_from_args(argc, argv));
+  apply_trace_out(grid, trace_out);
 
   ExperimentRunner runner;
   std::vector<CellResult> results = runner.run(grid);

@@ -3,10 +3,9 @@
 // the trace frontend instead of hand-written litmus programs.
 //
 //   workload_sweep [--smoke | --million | --scale] [--seed=N] [--workers=N]
-//                  [--procs=N] [--profile]
-//                  [--dir-scheme=fullmap|limptr|coarse] [--dir-banks=N]
-//                  [--dir-ptrs=N] [--dir-cluster=N]
-//                  [--topology=crossbar|ring|mesh2d] [--link-bw=N]
+//                  [--procs=N] [--profile] [--budget-ms=N]
+//                  [--protocol= --topology= --link-bw= --link-queue=
+//                   --dir-scheme= --dir-ptrs= --dir-cluster= --dir-banks=]
 //                  [--trace=FILE]... [--trace-dir=DIR] [--out=PATH]
 //
 // Default: every generator kind x every model x {baseline, +both} at
@@ -16,15 +15,14 @@
 // fast-forward on. --scale is the beyond-the-64-processor-wall
 // campaign: producer/consumer and zipfian traces at P=64/128/256 under
 // all four models (+both), op counts scaled with P. --procs overrides
-// the suite/smoke processor count; the directory and interconnect
-// flags apply to every cell. --trace / --trace-dir run external trace
-// files instead of the generated suite (a malformed file fails its
-// cell, not the sweep). JSON report: BENCH_workload_sweep.json
+// the suite/smoke processor count; the memory-system flags (the
+// ones run_asm takes, parsed by apply_mem_flag) apply to every cell.
+// --trace / --trace-dir run external trace files instead of the
+// generated suite (a malformed file fails its cell, not the sweep). JSON report: BENCH_workload_sweep.json
 // (mcsim-bench-v7, per-cell "trace" provenance; --profile adds the
 // per-cell technique-efficacy and per-bank directory breakdowns).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,19 +40,14 @@ const ConsistencyModel kModels[] = {ConsistencyModel::kSC, ConsistencyModel::kPC
 
 unsigned long long ull(std::uint64_t v) { return static_cast<unsigned long long>(v); }
 
-// Directory / interconnect knobs and profiling shared by every cell
-// (set from the command line in main).
+// Memory system and profiling shared by every cell (set from the
+// command line in main).
 MemConfig g_mem;
 bool g_profile = false;
 
 SystemConfig cell_config(ConsistencyModel m, bool both, std::uint64_t total_ops) {
   SystemConfig cfg = tech_config(m, both, both);
-  cfg.mem.topology = g_mem.topology;
-  cfg.mem.link_bw = g_mem.link_bw;
-  cfg.mem.dir_scheme = g_mem.dir_scheme;
-  cfg.mem.dir_pointers = g_mem.dir_pointers;
-  cfg.mem.dir_cluster = g_mem.dir_cluster;
-  cfg.mem.dir_banks = g_mem.dir_banks;
+  cfg.mem = g_mem;
   cfg.profile = g_profile;
   // Large traces outgrow the 10M-cycle deadlock watchdog: give every
   // cell generous headroom scaled to its op count (fast-forward makes
@@ -75,45 +68,27 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_workload_sweep.json";
   std::vector<std::string> trace_in;
   std::string trace_dir;
-  std::string flag_err;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    std::string v, err;
     if (arg == "--smoke") smoke = true;
     else if (arg == "--million") million = true;
     else if (arg == "--scale") scale = true;
     else if (arg == "--profile") g_profile = true;
-    else if (arg.rfind("--seed=", 0) == 0) seed = std::strtoull(argv[i] + 7, nullptr, 0);
-    else if (arg.rfind("--workers=", 0) == 0)
-      workers = static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 0));
-    else if (arg.rfind("--procs=", 0) == 0)
-      procs = static_cast<std::uint32_t>(std::strtoul(argv[i] + 8, nullptr, 0));
-    else if (arg.rfind("--out=", 0) == 0) out_path = arg.substr(6);
-    else if (arg.rfind("--budget-ms=", 0) == 0)
-      budget_ms = std::strtoull(argv[i] + 12, nullptr, 0);
-    else if (arg.rfind("--trace=", 0) == 0) trace_in.push_back(arg.substr(8));
-    else if (arg.rfind("--trace-dir=", 0) == 0) trace_dir = arg.substr(12);
-    else if (arg.rfind("--topology=", 0) == 0) {
-      const std::string v = arg.substr(11);
-      if (v == "crossbar") g_mem.topology = Topology::kCrossbar;
-      else if (v == "ring") g_mem.topology = Topology::kRing;
-      else if (v == "mesh2d") g_mem.topology = Topology::kMesh2D;
-      else flag_err = "unknown topology: " + v;
-    } else if (arg.rfind("--link-bw=", 0) == 0) {
-      g_mem.link_bw = static_cast<std::uint32_t>(std::strtoul(argv[i] + 10, nullptr, 0));
-    } else if (parse_dir_flag(arg, g_mem, flag_err)) {
-      // handled (flag_err set on a malformed value)
-    } else {
+    else if (str_flag(arg, "--trace=", v)) trace_in.push_back(v);
+    else if (!(num_flag(arg, "--seed=", seed, err) || num_flag(arg, "--workers=", workers, err) ||
+               num_flag(arg, "--procs=", procs, err) ||
+               num_flag(arg, "--budget-ms=", budget_ms, err) ||
+               str_flag(arg, "--out=", out_path) || str_flag(arg, "--trace-dir=", trace_dir) ||
+               apply_mem_flag(arg, g_mem, err)))
+      err = "unknown flag: " + arg;
+    if (!err.empty()) {
       std::fprintf(stderr,
+                   "workload_sweep: %s\n"
                    "usage: workload_sweep [--smoke|--million|--scale] [--seed=N] "
                    "[--workers=N] [--procs=N] [--profile] [--budget-ms=N]\n"
-                   "       [--dir-scheme=fullmap|limptr|coarse] [--dir-banks=N] "
-                   "[--dir-ptrs=N] [--dir-cluster=N]\n"
-                   "       [--topology=crossbar|ring|mesh2d] [--link-bw=N]\n"
-                   "       [--trace=FILE]... [--trace-dir=DIR] [--out=PATH]\n");
-      return 1;
-    }
-    if (!flag_err.empty()) {
-      std::fprintf(stderr, "workload_sweep: %s\n", flag_err.c_str());
+                   "       [--trace=FILE]... [--trace-dir=DIR] [--out=PATH]\n       %s\n",
+                   err.c_str(), kMemFlagsUsage);
       return 1;
     }
   }

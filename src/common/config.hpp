@@ -78,7 +78,6 @@ struct CoreConfig {
   std::uint32_t commit_width = 4;   ///< instructions retired per cycle
   std::uint32_t rob_entries = 64;   ///< reorder buffer capacity
   std::uint32_t ls_rs_entries = 16; ///< load/store reservation station
-  std::uint32_t alu_rs_entries = 16;
   std::uint32_t store_buffer_entries = 16;
   std::uint32_t spec_load_buffer_entries = 16;  ///< paper Fig. 4 speculative-load buffer
   std::uint32_t prefetch_buffer_entries = 16;   ///< §3.2 prefetch buffer
@@ -141,6 +140,8 @@ struct MemConfig {
   /// ring/mesh each bank is a distinct home NODE and home distance is
   /// real. 1 bank = the historical centralized directory.
   std::uint32_t dir_banks = 1;
+
+  bool operator==(const MemConfig&) const = default;
 };
 
 struct SystemConfig {

@@ -1,5 +1,7 @@
 #include "sim/options.hpp"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace mcsim {
@@ -10,25 +12,89 @@ bool starts_with(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
-bool parse_u32(const std::string& s, std::uint32_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  unsigned long v = std::strtoul(s.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
+/// The numeric memory-system flags; mem_flags() writes them in this
+/// order, after the three named ones.
+struct NumericMemFlag {
+  const char* name;
+  std::uint32_t MemConfig::*field;
+};
+constexpr NumericMemFlag kNumericMemFlags[] = {
+    {"--link-bw", &MemConfig::link_bw},
+    {"--link-queue", &MemConfig::link_queue},
+    {"--dir-ptrs", &MemConfig::dir_pointers},
+    {"--dir-cluster", &MemConfig::dir_cluster},
+    {"--dir-banks", &MemConfig::dir_banks},
+};
+
+}  // namespace
 
 bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
+  // strtoull alone would skip blanks and wrap a leading '-'.
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) return false;
   char* end = nullptr;
-  unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') return false;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
+  if (errno == ERANGE || *end != '\0') return false;
   out = v;
   return true;
 }
 
-}  // namespace
+bool parse_u32(const std::string& s, std::uint32_t& out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(s, v) || v > UINT32_MAX) return false;
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+bool apply_mem_flag(const std::string& arg, MemConfig& mem, std::string& err) {
+  const std::size_t eq = arg.find('=');
+  if (eq == std::string::npos) return false;
+  const std::string name = arg.substr(0, eq);
+  const std::string v = arg.substr(eq + 1);
+  const char* expected = nullptr;  // set when `v` is malformed
+  if (name == "--protocol") {
+    if (v == "inv") mem.coherence = CoherenceKind::kInvalidation;
+    else if (v == "upd") mem.coherence = CoherenceKind::kUpdate;
+    else expected = "inv|upd";
+  } else if (name == "--topology") {
+    if (v == "crossbar") mem.topology = Topology::kCrossbar;
+    else if (v == "ring") mem.topology = Topology::kRing;
+    else if (v == "mesh2d") mem.topology = Topology::kMesh2D;
+    else expected = "crossbar|ring|mesh2d";
+  } else if (name == "--dir-scheme") {
+    if (v == "fullmap") mem.dir_scheme = DirScheme::kFullMap;
+    else if (v == "limptr") mem.dir_scheme = DirScheme::kLimitedPtr;
+    else if (v == "coarse") mem.dir_scheme = DirScheme::kCoarseVector;
+    else expected = "fullmap|limptr|coarse";
+  } else {
+    const NumericMemFlag* f = nullptr;
+    for (const NumericMemFlag& x : kNumericMemFlags) {
+      if (name == x.name) f = &x;
+    }
+    if (f == nullptr) return false;
+    if (!parse_u32(v, mem.*f->field)) expected = "an unsigned integer";
+  }
+  if (expected != nullptr) err = "bad " + arg + ": expected " + expected;
+  return true;
+}
+
+std::string mem_flags(const MemConfig& mem) {
+  const MemConfig def;
+  std::string out;
+  auto add = [&](bool differs, const std::string& flag) {
+    if (differs) out += (out.empty() ? "" : " ") + flag;
+  };
+  add(mem.coherence != def.coherence,
+      std::string("--protocol=") + (mem.coherence == CoherenceKind::kUpdate ? "upd" : "inv"));
+  add(mem.topology != def.topology, std::string("--topology=") + to_string(mem.topology));
+  add(mem.dir_scheme != def.dir_scheme,
+      std::string("--dir-scheme=") + to_string(mem.dir_scheme));
+  for (const NumericMemFlag& f : kNumericMemFlags) {
+    add(mem.*f.field != def.*f.field,
+        std::string(f.name) + "=" + std::to_string(mem.*f.field));
+  }
+  return out;
+}
 
 OptionsResult parse_options(int argc, const char* const* argv) {
   OptionsResult r;
@@ -70,37 +136,8 @@ OptionsResult parse_options(int argc, const char* const* argv) {
       else return fail("unknown prefetch mode: " + v);
     } else if (starts_with(arg, "--miss=")) {
       if (!parse_u32(arg.substr(7), miss) || miss < 4) return fail("bad --miss");
-    } else if (starts_with(arg, "--topology=")) {
-      std::string v = arg.substr(11);
-      if (v == "crossbar") r.config.mem.topology = Topology::kCrossbar;
-      else if (v == "ring") r.config.mem.topology = Topology::kRing;
-      else if (v == "mesh2d") r.config.mem.topology = Topology::kMesh2D;
-      else return fail("unknown topology: " + v);
-    } else if (starts_with(arg, "--link-bw=")) {
-      if (!parse_u32(arg.substr(10), r.config.mem.link_bw)) return fail("bad --link-bw");
-    } else if (starts_with(arg, "--link-queue=")) {
-      if (!parse_u32(arg.substr(13), r.config.mem.link_queue))
-        return fail("bad --link-queue");
-    } else if (starts_with(arg, "--dir-scheme=")) {
-      std::string v = arg.substr(13);
-      if (v == "fullmap") r.config.mem.dir_scheme = DirScheme::kFullMap;
-      else if (v == "limptr") r.config.mem.dir_scheme = DirScheme::kLimitedPtr;
-      else if (v == "coarse") r.config.mem.dir_scheme = DirScheme::kCoarseVector;
-      else return fail("unknown dir scheme: " + v + " (fullmap|limptr|coarse)");
-    } else if (starts_with(arg, "--dir-ptrs=")) {
-      if (!parse_u32(arg.substr(11), r.config.mem.dir_pointers))
-        return fail("bad --dir-ptrs");
-    } else if (starts_with(arg, "--dir-cluster=")) {
-      if (!parse_u32(arg.substr(14), r.config.mem.dir_cluster))
-        return fail("bad --dir-cluster");
-    } else if (starts_with(arg, "--dir-banks=")) {
-      if (!parse_u32(arg.substr(12), r.config.mem.dir_banks))
-        return fail("bad --dir-banks");
-    } else if (starts_with(arg, "--protocol=")) {
-      std::string v = arg.substr(11);
-      if (v == "inv") r.config.mem.coherence = CoherenceKind::kInvalidation;
-      else if (v == "upd") r.config.mem.coherence = CoherenceKind::kUpdate;
-      else return fail("unknown protocol: " + v);
+    } else if (apply_mem_flag(arg, r.config.mem, r.error)) {
+      if (!r.ok()) return r;
     } else if (arg == "--fastforward") {
       r.config.fastforward = true;
     } else if (arg == "--no-fastforward") {

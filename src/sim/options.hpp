@@ -46,4 +46,22 @@ OptionsResult parse_options(int argc, const char* const* argv);
 /// One-paragraph usage text listing the flags above.
 std::string options_help();
 
+/// Strict unsigned integers: the whole string, decimal or 0x-hex, no
+/// sign, in range. `out` is written only on success.
+bool parse_u32(const std::string& s, std::uint32_t& out);
+bool parse_u64(const std::string& s, std::uint64_t& out);
+
+/// The memory-system flags, the one parser every driver and the fuzz
+/// reproducer share: --protocol --topology --link-bw --link-queue
+/// --dir-scheme --dir-ptrs --dir-cluster --dir-banks. Returns false
+/// when `arg` is none of them. Otherwise applies its value to `mem`,
+/// or leaves `mem` alone and sets `err` (naming the flag) when the
+/// value is malformed, and returns true.
+bool apply_mem_flag(const std::string& arg, MemConfig& mem, std::string& err);
+
+/// The inverse of apply_mem_flag: the flags, space-separated, that turn
+/// MemConfig{} into `mem`, one for each of those fields that differs
+/// from its default ("" when none does).
+std::string mem_flags(const MemConfig& mem);
+
 }  // namespace mcsim

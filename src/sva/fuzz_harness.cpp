@@ -13,23 +13,6 @@
 namespace mcsim {
 namespace sva {
 
-std::string TechniqueKnobs::label() const {
-  const bool pf = prefetch != PrefetchMode::kOff;
-  if (pf && speculative_loads) return "both";
-  if (pf) return "pf";
-  if (speculative_loads) return "sp";
-  return "base";
-}
-
-std::string FuzzCell::label() const {
-  std::string l = std::string(to_string(model)) + "/" + tech.label();
-  if (topology != Topology::kCrossbar) l += std::string("@") + to_string(topology);
-  if (dir_scheme != DirScheme::kFullMap || dir_banks > 1) {
-    l += std::string("#") + to_string(dir_scheme) + "x" + std::to_string(dir_banks);
-  }
-  return l;
-}
-
 const char* to_string(FuzzFailureKind k) {
   switch (k) {
     case FuzzFailureKind::kCellFailed: return "cell-failed";
@@ -56,12 +39,7 @@ SystemConfig config_for(const LitmusProgram& lp, const FuzzCell& cell) {
       static_cast<std::uint32_t>(lp.programs.size()), cell.model);
   cfg.core.prefetch = cell.tech.prefetch;
   cfg.core.speculative_loads = cell.tech.speculative_loads;
-  cfg.mem.topology = cell.topology;
-  cfg.mem.link_bw = cell.link_bw;
-  cfg.mem.dir_scheme = cell.dir_scheme;
-  cfg.mem.dir_banks = cell.dir_banks;
-  cfg.mem.dir_pointers = cell.dir_pointers;
-  cfg.mem.dir_cluster = cell.dir_cluster;
+  cfg.mem = cell.mem;
   // Litmus programs finish in a few thousand cycles; a tight watchdog
   // turns a deadlock bug into a fast cell failure instead of a hang.
   cfg.max_cycles = 1'000'000;
@@ -153,15 +131,6 @@ LitmusProgram remove_inst(const LitmusProgram& lp, std::size_t t, std::size_t k)
   return out;
 }
 
-Reproducer make_repro(const LitmusProgram& lp, const FuzzCell& cell) {
-  Reproducer r;
-  r.litmus = lp;
-  r.model = cell.model;
-  r.prefetch = cell.tech.prefetch;
-  r.speculative_loads = cell.tech.speculative_loads;
-  return r;
-}
-
 }  // namespace
 
 CellCheck verify_litmus_cell(const LitmusProgram& lp, const FuzzCell& cell,
@@ -225,7 +194,7 @@ Reproducer shrink_failure(const LitmusProgram& lp, const FuzzCell& cell,
       }
     }
   }
-  return make_repro(cur, cell);
+  return {cur, cell, {}};
 }
 
 std::string FuzzReport::summary() const {
@@ -245,6 +214,14 @@ std::string FuzzReport::summary() const {
   return os.str();
 }
 
+std::vector<FuzzCell> FuzzConfig::cells() const {
+  std::vector<FuzzCell> out;
+  for (ConsistencyModel m : models) {
+    for (const TechniqueKnobs& t : techniques) out.push_back({m, t, mem});
+  }
+  return out;
+}
+
 FuzzReport run_fuzz(const FuzzConfig& cfg) {
   FuzzReport rep;
   ExperimentRunner runner(cfg.workers);
@@ -256,11 +233,7 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
                            ec.message());
   }
 
-  std::vector<FuzzCell> cells;
-  for (ConsistencyModel m : cfg.models) {
-    for (const TechniqueKnobs& t : cfg.techniques)
-      cells.push_back({m, t, cfg.topology, cfg.link_bw, cfg.dir_scheme, cfg.dir_banks});
-  }
+  const std::vector<FuzzCell> cells = cfg.cells();
 
   for (std::uint64_t i = 0; i < cfg.programs; ++i) {
     if (rep.violations.size() >= cfg.max_failures) break;
@@ -335,16 +308,8 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
       if (failing_cells > 1)
         v.detail += " (+" + std::to_string(failing_cells - 1) + " more failing cells)";
       v.repro = cfg.shrink ? shrink_failure(lp, *first_cell, cfg.sc_max_states)
-                           : make_repro(lp, *first_cell);
+                           : Reproducer{lp, *first_cell, {}};
       v.repro.note = std::string(to_string(v.kind)) + ": " + first_check->detail;
-      if (v.cell.topology != Topology::kCrossbar) {
-        v.repro.note += " [topology=" + std::string(to_string(v.cell.topology)) +
-                        " link_bw=" + std::to_string(v.cell.link_bw) + "]";
-      }
-      if (v.cell.dir_scheme != DirScheme::kFullMap || v.cell.dir_banks > 1) {
-        v.repro.note += " [dir_scheme=" + std::string(to_string(v.cell.dir_scheme)) +
-                        " dir_banks=" + std::to_string(v.cell.dir_banks) + "]";
-      }
       v.shrunk_insts = count_insts(v.repro.litmus);
       if (!cfg.repro_dir.empty()) {
         v.repro_path = cfg.repro_dir + "/repro-" + std::to_string(child) + "-" +

@@ -35,33 +35,6 @@
 namespace mcsim {
 namespace sva {
 
-/// One technique combination to exercise.
-struct TechniqueKnobs {
-  PrefetchMode prefetch = PrefetchMode::kOff;
-  bool speculative_loads = false;
-  /// Short label: "base", "pf", "sp", "both".
-  std::string label() const;
-};
-
-/// One (model, techniques, topology) grid cell. The topology is part
-/// of the cell so shrinking and reproducers replay a failure under the
-/// exact interconnect timing that exposed it.
-struct FuzzCell {
-  ConsistencyModel model = ConsistencyModel::kSC;
-  TechniqueKnobs tech;
-  Topology topology = Topology::kCrossbar;
-  std::uint32_t link_bw = 1;  ///< ring/mesh per-link bandwidth
-  /// Directory organisation. The litmus checkers are oblivious to the
-  /// sharer encoding and banking — a conservative-superset directory
-  /// must preserve every consistency axiom — so banked/inexact cells
-  /// reuse the same oracles as the centralized full-map baseline.
-  DirScheme dir_scheme = DirScheme::kFullMap;
-  std::uint32_t dir_banks = 1;
-  std::uint32_t dir_pointers = 4;  ///< limptr: Dir_i_B's "i"
-  std::uint32_t dir_cluster = 4;   ///< coarse: processors per bit
-  std::string label() const;  ///< "SC/base", "RC/both@mesh2d", "SC/pf#coarsex2", ...
-};
-
 enum class FuzzFailureKind : std::uint8_t {
   kCellFailed,        ///< deadlock / error running the cell
   kCheckerViolation,  ///< model_checker rejected the access logs
@@ -101,14 +74,15 @@ struct FuzzConfig {
       {PrefetchMode::kOff, true},
       {PrefetchMode::kNonBinding, true},
   };
-  /// Interconnect every cell runs under. The consistency axioms must
-  /// hold for ANY memory-system timing, so a contended ring/mesh is a
-  /// new adversary for the same checkers, not a different oracle.
-  Topology topology = Topology::kCrossbar;
-  std::uint32_t link_bw = 1;  ///< ring/mesh per-link bandwidth
-  /// Directory organisation every cell runs under (see FuzzCell).
-  DirScheme dir_scheme = DirScheme::kFullMap;
-  std::uint32_t dir_banks = 1;
+  /// Memory system every cell runs under. The consistency axioms must
+  /// hold for ANY memory-system timing, so a contended ring/mesh or an
+  /// inexact, banked directory is a new adversary for the same
+  /// checkers, not a different oracle.
+  MemConfig mem;
+
+  /// The campaign's grid: every model x technique on `mem`, in the
+  /// order run_fuzz runs them.
+  std::vector<FuzzCell> cells() const;
 };
 
 struct FuzzReport {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "isa/assembler.hpp"
+#include "sim/options.hpp"
 
 namespace mcsim {
 namespace sva {
@@ -135,6 +136,23 @@ std::string one_line(std::string s) {
 
 }  // namespace
 
+std::string TechniqueKnobs::label() const {
+  const bool pf = prefetch != PrefetchMode::kOff;
+  if (pf && speculative_loads) return "both";
+  if (pf) return "pf";
+  if (speculative_loads) return "sp";
+  return "base";
+}
+
+std::string FuzzCell::label() const {
+  std::string l = std::string(to_string(model)) + "/" + tech.label();
+  if (mem.topology != Topology::kCrossbar) l += std::string("@") + to_string(mem.topology);
+  if (mem.dir_scheme != DirScheme::kFullMap || mem.dir_banks > 1) {
+    l += std::string("#") + to_string(mem.dir_scheme) + "x" + std::to_string(mem.dir_banks);
+  }
+  return l;
+}
+
 std::string program_to_asm(const Program& prog) {
   std::ostringstream os;
   for (const DataInit& d : prog.data())
@@ -157,9 +175,11 @@ std::string to_reproducer_text(const Reproducer& r) {
   std::ostringstream os;
   os << ";; mcsim-reproducer v1\n";
   os << ";; seed " << r.litmus.seed << '\n';
-  os << ";; model " << to_string(r.model) << '\n';
-  os << ";; prefetch " << to_string(r.prefetch) << '\n';
-  os << ";; spec " << (r.speculative_loads ? "on" : "off") << '\n';
+  os << ";; model " << to_string(r.cell.model) << '\n';
+  os << ";; prefetch " << to_string(r.cell.tech.prefetch) << '\n';
+  os << ";; spec " << (r.cell.tech.speculative_loads ? "on" : "off") << '\n';
+  const std::string mem = mem_flags(r.cell.mem);
+  if (!mem.empty()) os << ";; mem " << mem << '\n';
   if (!r.note.empty()) os << ";; note " << one_line(r.note) << '\n';
   for (Addr a : r.litmus.addrs) os << ";; addr " << hex(a) << '\n';
   for (const auto& [p, a] : r.litmus.preload_shared)
@@ -194,22 +214,28 @@ Reproducer parse_reproducer(const std::string& text) {
     } else if (key == "model") {
       std::string m;
       meta >> m;
-      if (m == "SC") r.model = ConsistencyModel::kSC;
-      else if (m == "PC") r.model = ConsistencyModel::kPC;
-      else if (m == "WC") r.model = ConsistencyModel::kWC;
-      else if (m == "RC") r.model = ConsistencyModel::kRC;
+      if (m == "SC") r.cell.model = ConsistencyModel::kSC;
+      else if (m == "PC") r.cell.model = ConsistencyModel::kPC;
+      else if (m == "WC") r.cell.model = ConsistencyModel::kWC;
+      else if (m == "RC") r.cell.model = ConsistencyModel::kRC;
       else fail("unknown model " + m);
     } else if (key == "prefetch") {
       std::string m;
       meta >> m;
-      if (m == "off") r.prefetch = PrefetchMode::kOff;
-      else if (m == "non-binding") r.prefetch = PrefetchMode::kNonBinding;
-      else if (m == "binding") r.prefetch = PrefetchMode::kBinding;
+      if (m == "off") r.cell.tech.prefetch = PrefetchMode::kOff;
+      else if (m == "non-binding") r.cell.tech.prefetch = PrefetchMode::kNonBinding;
+      else if (m == "binding") r.cell.tech.prefetch = PrefetchMode::kBinding;
       else fail("unknown prefetch mode " + m);
     } else if (key == "spec") {
       std::string m;
       meta >> m;
-      r.speculative_loads = m == "on";
+      r.cell.tech.speculative_loads = m == "on";
+    } else if (key == "mem") {
+      std::string flag, err;
+      while (meta >> flag) {
+        if (!apply_mem_flag(flag, r.cell.mem, err)) fail("unknown mem flag " + flag);
+        if (!err.empty()) fail(err);
+      }
     } else if (key == "note") {
       std::getline(meta, r.note);
       if (!r.note.empty() && r.note.front() == ' ') r.note.erase(0, 1);

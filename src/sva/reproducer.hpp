@@ -5,10 +5,11 @@
 // text per thread (isa/assembler grammar, so the file re-assembles
 // byte-for-byte into the failing programs) plus `;;`-prefixed metadata
 // lines carrying everything else needed to replay the cell — the
-// generator seed, the consistency model, the technique knobs, the cache
-// preloads, and the violation that was observed. `;` starts an
-// assembler comment, so the file is also a valid input for each
-// per-thread section in isolation.
+// generator seed, the consistency model, the technique knobs, the
+// memory system when it is not the default (one `;; mem` line of the
+// flags apply_mem_flag parses), the cache preloads, and the violation
+// that was observed. `;` starts an assembler comment, so the file is
+// also a valid input for each per-thread section in isolation.
 #pragma once
 
 #include <string>
@@ -19,12 +20,31 @@
 namespace mcsim {
 namespace sva {
 
+/// One technique combination to exercise.
+struct TechniqueKnobs {
+  PrefetchMode prefetch = PrefetchMode::kOff;
+  bool speculative_loads = false;
+  /// Short label: "base", "pf", "sp", "both".
+  std::string label() const;
+};
+
+/// One grid cell of the fuzzer: model, techniques and memory system.
+/// The memory system is part of the cell so shrinking and reproducers
+/// replay a failure under the exact interconnect timing and directory
+/// that exposed it. The litmus checkers are oblivious to topology,
+/// sharer encoding and banking: the consistency axioms must hold for
+/// any memory-system timing, so every cell reuses the same oracles.
+struct FuzzCell {
+  ConsistencyModel model = ConsistencyModel::kSC;
+  TechniqueKnobs tech{};
+  MemConfig mem{};
+  std::string label() const;  ///< "SC/base", "RC/both@mesh2d", "SC/pf#coarsex2", ...
+};
+
 /// Everything needed to replay one failing fuzz cell.
 struct Reproducer {
   LitmusProgram litmus;
-  ConsistencyModel model = ConsistencyModel::kSC;
-  PrefetchMode prefetch = PrefetchMode::kOff;
-  bool speculative_loads = false;
+  FuzzCell cell;     ///< the cell it failed on
   std::string note;  ///< one-line description of the observed violation
 };
 

@@ -99,7 +99,7 @@ TEST(BankedDirectory, CorpusPassesEveryCheckerWithTwoBanks) {
     for (CM model : kModels) {
       for (const TechniqueKnobs& tech : kTechs) {
         FuzzCell cell{model, tech};
-        cell.dir_banks = 2;
+        cell.mem.dir_banks = 2;
         CellCheck c = verify_litmus_cell(r.litmus, cell, &sc);
         EXPECT_FALSE(c.failed) << name << " " << cell.label() << ": " << c.detail;
       }
@@ -121,10 +121,10 @@ TEST(BankedDirectory, InexactSchemesPreserveTheAxiomsOnTheCorpus) {
     for (CM model : kModels) {
       for (DirScheme scheme : {DirScheme::kLimitedPtr, DirScheme::kCoarseVector}) {
         FuzzCell cell{model, {PrefetchMode::kNonBinding, true}};
-        cell.dir_scheme = scheme;
-        cell.dir_banks = 2;
-        cell.dir_pointers = 1;  // any second sharer overflows to broadcast
-        cell.dir_cluster = 2;
+        cell.mem.dir_scheme = scheme;
+        cell.mem.dir_banks = 2;
+        cell.mem.dir_pointers = 1;  // any second sharer overflows to broadcast
+        cell.mem.dir_cluster = 2;
         CellCheck c = verify_litmus_cell(r.litmus, cell, &sc);
         EXPECT_FALSE(c.failed) << name << " " << cell.label() << ": " << c.detail;
       }
@@ -140,7 +140,7 @@ TEST(BankedDirectory, FuzzSliceAtTwoBanksFindsNoViolations) {
   cfg.programs = 4;
   cfg.seed = 9;
   cfg.workers = 2;
-  cfg.dir_banks = 2;
+  cfg.mem.dir_banks = 2;
   FuzzReport rep = run_fuzz(cfg);
   EXPECT_TRUE(rep.ok()) << rep.summary();
   EXPECT_EQ(rep.cells, cfg.programs * cfg.models.size() * cfg.techniques.size());
@@ -155,10 +155,10 @@ TEST(BankedDirectory, FuzzSliceOnTheMeshWithCoarseVectorStaysGreen) {
   cfg.programs = 3;
   cfg.seed = 11;
   cfg.workers = 2;
-  cfg.topology = Topology::kMesh2D;
-  cfg.link_bw = 1;
-  cfg.dir_scheme = DirScheme::kCoarseVector;
-  cfg.dir_banks = 2;
+  cfg.mem.topology = Topology::kMesh2D;
+  cfg.mem.link_bw = 1;
+  cfg.mem.dir_scheme = DirScheme::kCoarseVector;
+  cfg.mem.dir_banks = 2;
   cfg.models = {CM::kSC, CM::kRC};
   FuzzReport rep = run_fuzz(cfg);
   EXPECT_TRUE(rep.ok()) << rep.summary();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 namespace mcsim {
 namespace {
 
@@ -157,6 +160,88 @@ TEST(Options, ProcessorCountsBeyondSixtyFourAreAccepted) {
   OptionsResult huge = parse({"--procs=5000"});
   ASSERT_FALSE(huge.ok());
   EXPECT_NE(huge.error.find("4096"), std::string::npos) << huge.error;
+}
+
+TEST(Options, ApplyMemFlagSetsEveryMemorySystemField) {
+  MemConfig mem;
+  std::string err;
+  for (const char* flag :
+       {"--protocol=upd", "--topology=ring", "--link-bw=3", "--link-queue=5",
+        "--dir-scheme=limptr", "--dir-ptrs=2", "--dir-cluster=8", "--dir-banks=4"}) {
+    EXPECT_TRUE(apply_mem_flag(flag, mem, err)) << flag;
+    EXPECT_EQ(err, "") << flag;
+  }
+  EXPECT_EQ(mem.coherence, CoherenceKind::kUpdate);
+  EXPECT_EQ(mem.topology, Topology::kRing);
+  EXPECT_EQ(mem.link_bw, 3u);
+  EXPECT_EQ(mem.link_queue, 5u);
+  EXPECT_EQ(mem.dir_scheme, DirScheme::kLimitedPtr);
+  EXPECT_EQ(mem.dir_pointers, 2u);
+  EXPECT_EQ(mem.dir_cluster, 8u);
+  EXPECT_EQ(mem.dir_banks, 4u);
+  // Other flags are not memory-system flags.
+  for (const char* flag : {"--procs=4", "--spec", "--topology", "mesh2d"})
+    EXPECT_FALSE(apply_mem_flag(flag, mem, err)) << flag;
+  EXPECT_EQ(err, "");
+}
+
+TEST(Options, ApplyMemFlagRejectsMalformedValues) {
+  for (const char* flag : {"--link-bw=fast", "--dir-banks=", "--topology=torus",
+                           "--link-queue=-1", "--dir-ptrs=4x", "--dir-cluster=4294967296",
+                           "--protocol=mesi", "--dir-scheme=exact"}) {
+    MemConfig mem;
+    std::string err;
+    EXPECT_TRUE(apply_mem_flag(flag, mem, err)) << flag;
+    EXPECT_EQ(err.rfind(std::string("bad ") + flag + ": expected ", 0), 0u) << err;
+    EXPECT_EQ(mem, MemConfig{}) << flag << " changed the config";
+  }
+  OptionsResult r = parse({"--link-bw=fast"});
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("--link-bw=fast"), std::string::npos) << r.error;
+}
+
+TEST(Options, MemFlagsInvertsApplyMemFlag) {
+  EXPECT_EQ(mem_flags(MemConfig{}), "");
+  MemConfig mesh;
+  mesh.topology = Topology::kMesh2D;
+  EXPECT_EQ(mem_flags(mesh), "--topology=mesh2d");
+  MemConfig coarse;
+  coarse.dir_scheme = DirScheme::kCoarseVector;
+  coarse.dir_banks = 2;
+  EXPECT_EQ(mem_flags(coarse), "--dir-scheme=coarse --dir-banks=2");
+  MemConfig all;
+  all.coherence = CoherenceKind::kUpdate;
+  all.topology = Topology::kRing;
+  all.link_bw = 0;
+  all.link_queue = 2;
+  all.dir_scheme = DirScheme::kLimitedPtr;
+  all.dir_pointers = 1;
+  all.dir_cluster = 16;
+  all.dir_banks = 8;
+  for (const MemConfig& m : {MemConfig{}, mesh, coarse, all}) {
+    MemConfig back;
+    std::string err;
+    std::istringstream flags(mem_flags(m));
+    for (std::string flag; flags >> flag;) {
+      EXPECT_TRUE(apply_mem_flag(flag, back, err)) << flag;
+      EXPECT_EQ(err, "") << flag;
+    }
+    EXPECT_EQ(back, m) << mem_flags(m);
+  }
+}
+
+TEST(Options, StrictUnsignedParsers) {
+  std::uint32_t u32 = 7;
+  std::uint64_t u64 = 7;
+  EXPECT_TRUE(parse_u32("0x10", u32));
+  EXPECT_EQ(u32, 16u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", u64));
+  EXPECT_EQ(u64, UINT64_MAX);
+  for (const char* bad : {"", "abc", "-1", " 1", "+1", "1 ", "12abc", "4294967296"})
+    EXPECT_FALSE(parse_u32(bad, u32)) << bad;
+  EXPECT_EQ(u32, 16u) << "a failed parse must leave the output alone";
+  EXPECT_FALSE(parse_u64("18446744073709551616", u64));
+  EXPECT_FALSE(parse_u64("-1", u64));
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // every model, while only SC and WC forbid the store-buffering (0,0).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -141,34 +143,20 @@ TEST(Corpus, LockHandoffTasAtomicity) {
 // speculative-load buffer entry was nonspec: detection skipped it, an
 // invalidation made its value stale before it retired, and the
 // restamp made the checker judge that value at the later cycle
-// (`[read-value]`). Each replays under the topology and directory its
-// slice ran with.
-struct FuzzRepro {
-  const char* file;
-  Topology topology;
-  DirScheme dir_scheme;
-  std::uint32_t dir_banks;
-};
-const FuzzRepro kFuzzRepros[] = {
-    {"repro-3081251696030599739-WC-both.litmus", Topology::kCrossbar, DirScheme::kFullMap, 1},
-    {"repro-16424035508066313022-RC-both.litmus", Topology::kCrossbar, DirScheme::kFullMap, 1},
-    {"repro-1895586305013882831-RC-sp.litmus", Topology::kCrossbar, DirScheme::kFullMap, 1},
-    {"repro-6353848000608806813-RC-both.litmus", Topology::kMesh2D, DirScheme::kFullMap, 1},
-    {"repro-578909546379690882-WC-sp.litmus", Topology::kCrossbar, DirScheme::kCoarseVector,
-     2},
-};
-
+// (`[read-value]`). Each replays on the cell its file records, memory
+// system included (the mesh2d one passes on a crossbar even with the
+// bug).
 TEST(Corpus, FuzzReproducersOfNonspecRestampPass) {
-  for (const FuzzRepro& fr : kFuzzRepros) {
-    Reproducer r = corpus(std::string("fuzz/") + fr.file);
-    FuzzCell cell;
-    cell.model = r.model;
-    cell.tech = {r.prefetch, r.speculative_loads};
-    cell.topology = fr.topology;
-    cell.dir_scheme = fr.dir_scheme;
-    cell.dir_banks = fr.dir_banks;
-    CellCheck c = verify_litmus_cell(r.litmus, cell, nullptr);
-    EXPECT_FALSE(c.failed) << fr.file << " " << cell.label() << ": " << c.detail;
+  std::vector<std::filesystem::path> files;
+  for (const auto& e :
+       std::filesystem::directory_iterator(std::string(MCSIM_CORPUS_DIR) + "/fuzz"))
+    files.push_back(e.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const std::filesystem::path& f : files) {
+    Reproducer r = load_reproducer(f.string());
+    CellCheck c = verify_litmus_cell(r.litmus, r.cell, nullptr);
+    EXPECT_FALSE(c.failed) << f.filename() << " " << r.cell.label() << ": " << c.detail;
   }
 }
 

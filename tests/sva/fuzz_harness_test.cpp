@@ -4,6 +4,7 @@
 // as inconclusive rather than passing; and the report is identical
 // whatever the worker count.
 #include <filesystem>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -77,16 +78,48 @@ TEST_F(FuzzHarness, InjectedFaultIsCaughtAndShrunkSmall) {
     }
     // Replay on the cell the reproducer records, as fuzz_models --replay
     // does. The shrunk reproducer still fails while the fault is active...
-    const FuzzCell cell{replayed.model, {replayed.prefetch, replayed.speculative_loads}};
-    EXPECT_EQ(cell.label(), v.cell.label());
-    CellCheck still = verify_litmus_cell(replayed.litmus, cell, nullptr);
+    EXPECT_EQ(replayed.cell.label(), v.cell.label());
+    CellCheck still = verify_litmus_cell(replayed.litmus, replayed.cell, nullptr);
     EXPECT_TRUE(still.failed) << "shrunk reproducer no longer reproduces";
     // ...and is clean once the machine is healthy again.
     set_policy_fault(PolicyFault::kNone);
-    CellCheck healthy = verify_litmus_cell(replayed.litmus, cell, nullptr);
+    CellCheck healthy = verify_litmus_cell(replayed.litmus, replayed.cell, nullptr);
     EXPECT_FALSE(healthy.failed) << healthy.detail;
   }
   std::filesystem::remove_all(root);
+}
+
+TEST_F(FuzzHarness, ReproducerFileRecordsItsMemorySystem) {
+  // The fault self-test on a contended mesh with a coarse, 2-bank
+  // directory: the file must carry that memory system, so a replay from
+  // the file runs the very cell that failed, and the campaign table
+  // (built from cfg.cells()) has a row for every violation.
+  const std::filesystem::path dir = "fuzz_harness_test_mem_repros";
+  std::filesystem::remove_all(dir);
+  set_policy_fault(PolicyFault::kSCLoadIgnoresStores);
+  FuzzConfig cfg = small_config();
+  cfg.programs = 30;
+  cfg.models = {ConsistencyModel::kSC};
+  cfg.max_failures = 1;
+  cfg.repro_dir = dir.string();
+  cfg.mem.topology = Topology::kMesh2D;
+  cfg.mem.dir_scheme = DirScheme::kCoarseVector;
+  cfg.mem.dir_banks = 2;
+  FuzzReport rep = run_fuzz(cfg);
+  ASSERT_FALSE(rep.ok()) << "the fuzzer missed an injected SC hole on the mesh";
+  std::set<std::string> labels;
+  for (const FuzzCell& c : cfg.cells()) labels.insert(c.label());
+  for (const FuzzViolation& v : rep.violations)
+    EXPECT_EQ(labels.count(v.cell.label()), 1u) << v.cell.label();
+  const FuzzViolation& v = rep.violations.front();
+  ASSERT_FALSE(v.repro_path.empty()) << rep.summary();
+  const Reproducer replayed = load_reproducer(v.repro_path);
+  EXPECT_EQ(replayed.cell.label(), v.cell.label());
+  EXPECT_EQ(replayed.cell.mem, cfg.mem);
+  EXPECT_NE(replayed.cell.label().find("@mesh2d#coarsex2"), std::string::npos);
+  EXPECT_TRUE(verify_litmus_cell(replayed.litmus, replayed.cell, nullptr).failed)
+      << "the recorded cell no longer reproduces";
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(FuzzHarness, PartialScEnumerationIsInconclusiveNotPassing) {
@@ -125,8 +158,8 @@ TEST_F(FuzzHarness, Mesh2dSliceHoldsTheAxiomsUnderContention) {
   // contended 2D mesh with 1-msg/cycle links and assert the same
   // checkers stay green.
   FuzzConfig cfg = small_config();
-  cfg.topology = Topology::kMesh2D;
-  cfg.link_bw = 1;
+  cfg.mem.topology = Topology::kMesh2D;
+  cfg.mem.link_bw = 1;
   cfg.models = {ConsistencyModel::kSC, ConsistencyModel::kRC};
   FuzzReport rep = run_fuzz(cfg);
   EXPECT_TRUE(rep.ok()) << rep.summary();
@@ -137,7 +170,7 @@ TEST_F(FuzzHarness, Mesh2dSliceHoldsTheAxiomsUnderContention) {
 
 TEST_F(FuzzHarness, Mesh2dSliceReportIsWorkerCountInvariant) {
   FuzzConfig cfg = small_config();
-  cfg.topology = Topology::kMesh2D;
+  cfg.mem.topology = Topology::kMesh2D;
   cfg.models = {ConsistencyModel::kSC};
   cfg.workers = 1;
   FuzzReport serial = run_fuzz(cfg);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "isa/builder.hpp"
 #include "sva/litmus_gen.hpp"
@@ -44,15 +46,16 @@ TEST(Reproducer, GeneratedLitmusRoundTrips) {
   for (std::uint64_t seed : {3ull, 19ull, 123456789ull}) {
     Reproducer r;
     r.litmus = generate_litmus(sva::LitmusGenConfig{}, seed);
-    r.model = ConsistencyModel::kWC;
-    r.prefetch = PrefetchMode::kNonBinding;
-    r.speculative_loads = true;
+    r.cell.model = ConsistencyModel::kWC;
+    r.cell.tech = {PrefetchMode::kNonBinding, true};
     r.note = "checker-violation: something ran backwards";
-    Reproducer back = parse_reproducer(to_reproducer_text(r));
+    const std::string text = to_reproducer_text(r);
+    EXPECT_EQ(text.find(";; mem"), std::string::npos) << "default memory system written";
+    Reproducer back = parse_reproducer(text);
     EXPECT_EQ(back.litmus.seed, seed);
-    EXPECT_EQ(back.model, r.model);
-    EXPECT_EQ(back.prefetch, r.prefetch);
-    EXPECT_EQ(back.speculative_loads, r.speculative_loads);
+    EXPECT_EQ(back.cell.model, r.cell.model);
+    EXPECT_EQ(back.cell.tech.prefetch, r.cell.tech.prefetch);
+    EXPECT_EQ(back.cell.tech.speculative_loads, r.cell.tech.speculative_loads);
     EXPECT_EQ(back.note, r.note);
     EXPECT_EQ(back.litmus.addrs, r.litmus.addrs);
     EXPECT_EQ(back.litmus.preload_shared, r.litmus.preload_shared);
@@ -109,14 +112,49 @@ TEST(Reproducer, MalformedInputThrows) {
                std::runtime_error);
 }
 
+TEST(Reproducer, MemorySystemRoundTrips) {
+  Reproducer mesh;
+  mesh.litmus = generate_litmus(sva::LitmusGenConfig{}, 7);
+  mesh.cell.model = ConsistencyModel::kRC;
+  mesh.cell.tech = {PrefetchMode::kNonBinding, true};
+  mesh.cell.mem.topology = Topology::kMesh2D;
+  Reproducer coarse = mesh;
+  coarse.cell.mem = MemConfig{};
+  coarse.cell.mem.dir_scheme = DirScheme::kCoarseVector;
+  coarse.cell.mem.dir_banks = 2;
+  coarse.cell.mem.dir_pointers = 2;
+  coarse.cell.mem.dir_cluster = 8;
+  for (const Reproducer& r : {mesh, coarse}) {
+    const std::string text = to_reproducer_text(r);
+    EXPECT_NE(text.find(";; mem --"), std::string::npos) << text;
+    Reproducer back = parse_reproducer(text);
+    EXPECT_EQ(back.cell.mem, r.cell.mem) << text;
+    EXPECT_EQ(back.cell.label(), r.cell.label());
+  }
+  EXPECT_EQ(parse_reproducer(to_reproducer_text(mesh)).cell.label(), "RC/both@mesh2d");
+  EXPECT_EQ(parse_reproducer(to_reproducer_text(coarse)).cell.label(), "RC/both#coarsex2");
+}
+
+TEST(Reproducer, MalformedMemLineThrowsNamingItsLine) {
+  const std::string text = ";; model SC\n;; mem --link-bw=x\n;; thread 0\n  halt\n";
+  try {
+    parse_reproducer(text);
+    FAIL() << "a malformed ;; mem line was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("--link-bw=x"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(parse_reproducer(";; mem --rob=4\n;; thread 0\n  halt\n"), std::runtime_error);
+}
+
 TEST(Reproducer, WriteAndLoadFile) {
   Reproducer r;
   r.litmus = generate_litmus(sva::LitmusGenConfig{}, 5);
-  r.model = ConsistencyModel::kRC;
+  r.cell.model = ConsistencyModel::kRC;
   const std::string path = ::testing::TempDir() + "/mcsim_repro_test.litmus";
   ASSERT_TRUE(sva::write_reproducer(path, r));
   Reproducer back = sva::load_reproducer(path);
-  EXPECT_EQ(back.model, ConsistencyModel::kRC);
+  EXPECT_EQ(back.cell.model, ConsistencyModel::kRC);
   EXPECT_EQ(back.litmus.programs.size(), r.litmus.programs.size());
   std::remove(path.c_str());
   EXPECT_THROW(sva::load_reproducer(path), std::runtime_error);
